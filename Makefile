@@ -143,10 +143,12 @@ dse-smoke: build
 	$(GO) run ./cmd/besst-serve -smoke-dse
 
 # fuzz runs the short corruption fuzzers: the checkpoint-journal reader
-# (torn tails, garbage lines) and the AppBEO JSON decoder.
+# (torn tails, garbage lines), the AppBEO JSON decoder, and the
+# symbolic-regression model decoder (accepted models must Predict).
 fuzz:
 	$(GO) test ./internal/resilience -run xxx -fuzz FuzzReadJournal -fuzztime 20s
 	$(GO) test ./internal/beo -run xxx -fuzz FuzzAppBEOJSON -fuzztime 20s
+	$(GO) test ./internal/symreg -run xxx -fuzz FuzzFittedJSON -fuzztime 20s
 
 # profile captures a full observability bundle from a small DES run:
 # CPU and heap profiles, a Chrome trace, and the run-metrics document,

@@ -228,9 +228,8 @@ type CompiledRun struct {
 }
 
 // Compile validates app against arch and builds the reusable run
-// object shared by Simulate and Monte Carlo replication. It panics on
-// validation failure, matching Simulate's historical contract; use
-// CompileErr for a typed-error return.
+// object shared by single runs and Monte Carlo replication. It panics
+// on validation failure; use CompileErr for a typed-error return.
 func Compile(app *beo.AppBEO, arch *beo.ArchBEO) *CompiledRun {
 	cr, err := CompileErr(app, arch)
 	if err != nil {

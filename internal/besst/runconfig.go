@@ -7,10 +7,9 @@ import (
 )
 
 // RunConfig is the unified configuration for single runs and Monte
-// Carlo replication. It subsumes the legacy Options struct and the
-// variadic MCOption knobs: construct one with functional options
-// (WithSeed, WithConcurrency, WithTracer, ...) or fill the struct
-// directly — the zero value is a deterministic single DES run.
+// Carlo replication: construct one with functional options (WithSeed,
+// WithConcurrency, WithTracer, ...) or fill the struct directly — the
+// zero value is a deterministic single DES run.
 type RunConfig struct {
 	// Mode selects DES (default) or Direct execution.
 	Mode Mode

@@ -11,8 +11,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-
-	"besst/internal/stats"
 )
 
 // Op enumerates expression-tree node kinds.
@@ -100,17 +98,6 @@ func (n *Node) Depth() int {
 	return 1 + l
 }
 
-// Clone deep-copies the tree.
-func (n *Node) Clone() *Node {
-	if n == nil {
-		return nil
-	}
-	c := *n
-	c.L = n.L.Clone()
-	c.R = n.R.Clone()
-	return &c
-}
-
 // String renders the expression with the given variable names.
 func (n *Node) String(varNames []string) string {
 	var b strings.Builder
@@ -144,43 +131,4 @@ func (n *Node) render(b *strings.Builder, names []string) {
 		n.L.render(b, names)
 		b.WriteByte(')')
 	}
-}
-
-// nodes flattens the tree in preorder for uniform subtree selection.
-func (n *Node) nodes() []*Node {
-	var out []*Node
-	var walk func(*Node)
-	walk = func(m *Node) {
-		if m == nil {
-			return
-		}
-		out = append(out, m)
-		walk(m.L)
-		walk(m.R)
-	}
-	walk(n)
-	return out
-}
-
-// randomTree generates a random tree up to the given depth. full forces
-// operator nodes until depth runs out (the "full" half of ramped
-// half-and-half initialization).
-func randomTree(rng *stats.RNG, nvars, depth int, full bool, constMin, constMax float64) *Node {
-	if depth <= 1 || (!full && rng.Float64() < 0.3) {
-		// Leaf: variable or constant.
-		if rng.Float64() < 0.6 {
-			return &Node{Op: OpVar, VarIndex: rng.Intn(nvars)}
-		}
-		return &Node{Op: OpConst, Value: constMin + rng.Float64()*(constMax-constMin)}
-	}
-	if rng.Float64() < 0.7 {
-		op := binaryOps[rng.Intn(len(binaryOps))]
-		return &Node{
-			Op: op,
-			L:  randomTree(rng, nvars, depth-1, full, constMin, constMax),
-			R:  randomTree(rng, nvars, depth-1, full, constMin, constMax),
-		}
-	}
-	op := unaryOps[rng.Intn(len(unaryOps))]
-	return &Node{Op: op, L: randomTree(rng, nvars, depth-1, full, constMin, constMax)}
 }

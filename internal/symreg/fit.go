@@ -162,32 +162,8 @@ func (f *Fitted) Name() string { return f.Label }
 // String renders the fitted expression.
 func (f *Fitted) String() string { return f.Expr.String(f.VarNames) }
 
-// mape returns the mean absolute percentage error of expr on ds, or
-// +Inf for invalid predictions. Used as GP fitness (lower is better).
-func mape(expr *Node, ds Dataset) float64 {
-	var sum float64
-	n := 0
-	vars := make([]float64, len(ds.VarNames))
-	for i, row := range ds.X {
-		copy(vars, row)
-		pred := expr.Eval(vars)
-		if math.IsNaN(pred) || math.IsInf(pred, 0) {
-			return math.Inf(1)
-		}
-		if stats.ApproxEqual(ds.Y[i], 0, 0) {
-			continue
-		}
-		sum += math.Abs((pred - ds.Y[i]) / ds.Y[i])
-		n++
-	}
-	if n == 0 {
-		return math.Inf(1)
-	}
-	return 100 * sum / float64(n)
-}
-
 type individual struct {
-	tree    *Node
+	g       genome
 	fitness float64 // MAPE + parsimony penalty
 	rawMAPE float64
 }
@@ -197,21 +173,33 @@ type individual struct {
 // expression across restarts (by raw train MAPE) is returned.
 func Fit(label string, train, test Dataset, opt Options) *Fitted {
 	train.Validate()
-	opt = opt.withDefaults()
-	master := stats.NewRNG(opt.Seed)
-
 	// Normalize the problem so the GP's constant range covers the
 	// search space: divide each input by its mean magnitude and the
 	// target by its mean. MAPE is scale-invariant in y, so reported
 	// errors are unaffected.
 	xScale, yScale := dataScales(train)
+	return fit(label, train, test, opt, xScale, yScale, nil)
+}
+
+// fit runs the GP restarts on the problem scaled by xScale and yScale
+// and returns the best expression (by raw train MAPE). A non-nil warm
+// expression seeds the first restart (see evolve).
+func fit(label string, train, test Dataset, opt Options, xScale []float64, yScale float64, warm *Node) *Fitted {
+	opt = opt.withDefaults()
+	master := stats.NewRNG(opt.Seed)
 	strain := scaleDataset(train, xScale, yScale)
+	gp := newEvolver(strain, opt)
+	var seed genome
+	if warm != nil {
+		seed = appendNode(nil, warm)
+	}
 
 	var best individual
 	best.fitness = math.Inf(1)
 	best.rawMAPE = math.Inf(1)
 	for r := 0; r < opt.Restarts; r++ {
-		cand := evolve(strain, opt, master.Split(), nil)
+		cand := gp.evolve(master.Split(), seed)
+		seed = nil
 		if cand.rawMAPE < best.rawMAPE {
 			best = cand
 		}
@@ -220,9 +208,10 @@ func Fit(label string, train, test Dataset, opt Options) *Fitted {
 		}
 	}
 
+	expr := best.g.node()
 	f := &Fitted{
 		Label:     label,
-		Expr:      best.tree,
+		Expr:      expr,
 		VarNames:  train.VarNames,
 		TrainMAPE: best.rawMAPE,
 		TestMAPE:  math.NaN(),
@@ -230,9 +219,9 @@ func Fit(label string, train, test Dataset, opt Options) *Fitted {
 		YScale:    yScale,
 	}
 	if len(test.Y) > 0 {
-		f.TestMAPE = mape(best.tree, scaleDataset(test, xScale, yScale))
+		f.TestMAPE = newEvaluator(scaleDataset(test, xScale, yScale)).mape(best.g)
 	}
-	f.ResidualSigma = residualSigma(best.tree, strain)
+	f.ResidualSigma = residualSigma(expr, strain)
 	return f
 }
 
@@ -291,33 +280,56 @@ func residualSigma(expr *Node, ds Dataset) float64 {
 	return stats.Summarize(logs).Std
 }
 
-// evolve runs one GP restart and returns its best individual. A
-// non-nil warm tree (already on the scaled problem) seeds the front of
-// the initial population with itself and a band of its mutants — the
-// incremental-refit path (Refit) warm-starts one restart this way so a
-// grown training set doesn't pay for rediscovering the previous shape.
-func evolve(train Dataset, opt Options, rng *stats.RNG, warm *Node) individual {
-	nvars := len(train.VarNames)
-	evaluate := func(t *Node) individual {
-		raw := mape(t, train)
-		return individual{tree: t, rawMAPE: raw, fitness: raw + opt.ParsimonyCoeff*float64(t.Size())}
-	}
+// evolver runs GP restarts over one scaled training set. Its two
+// populations are double-buffered: each generation writes its children
+// into the genome storage of the generation before last, so steady
+// state breeding allocates nothing.
+type evolver struct {
+	opt       Options
+	nvars     int
+	train     *evaluator // fitness on the scaled training set
+	pop, next []individual
+}
 
+func newEvolver(train Dataset, opt Options) *evolver {
+	return &evolver{
+		opt:   opt,
+		nvars: len(train.VarNames),
+		train: newEvaluator(train),
+		pop:   make([]individual, opt.PopSize),
+		next:  make([]individual, opt.PopSize),
+	}
+}
+
+// score sets ind's raw MAPE and parsimony-penalized fitness.
+func (e *evolver) score(ind *individual) {
+	ind.rawMAPE = e.train.mape(ind.g)
+	ind.fitness = ind.rawMAPE + e.opt.ParsimonyCoeff*float64(len(ind.g))
+}
+
+// evolve runs one GP restart and returns its best individual, whose
+// genome it owns. A non-nil warm genome (already on the scaled problem)
+// seeds the front of the initial population with itself and a band of
+// its mutants — the incremental-refit path (Refit) warm-starts one
+// restart this way so a grown training set doesn't pay for
+// rediscovering the previous shape.
+func (e *evolver) evolve(rng *stats.RNG, warm genome) individual {
+	opt := e.opt
 	// Ramped half-and-half initialization across depths 2..MaxDepth,
 	// with the warm seed (when given) occupying the first quarter.
-	pop := make([]individual, opt.PopSize)
+	pop := e.pop
 	for i := range pop {
-		if warm != nil && i == 0 {
-			pop[i] = evaluate(warm.Clone())
-			continue
+		ind := &pop[i]
+		switch {
+		case warm != nil && i == 0:
+			ind.g = append(ind.g[:0], warm...)
+		case warm != nil && i < opt.PopSize/4:
+			ind.g = mutate(ind.g, warm, e.nvars, opt, rng)
+		default:
+			depth := 2 + i%(opt.MaxDepth-1)
+			ind.g = appendRandom(ind.g[:0], rng, e.nvars, depth, i%2 == 0, opt.ConstMin, opt.ConstMax)
 		}
-		if warm != nil && i < opt.PopSize/4 {
-			pop[i] = evaluate(mutate(warm, nvars, opt, rng))
-			continue
-		}
-		depth := 2 + i%(opt.MaxDepth-1)
-		full := i%2 == 0
-		pop[i] = evaluate(randomTree(rng, nvars, depth, full, opt.ConstMin, opt.ConstMax))
+		e.score(ind)
 	}
 
 	best := pop[0]
@@ -327,10 +339,10 @@ func evolve(train Dataset, opt Options, rng *stats.RNG, warm *Node) individual {
 		}
 	}
 
-	tournament := func() individual {
-		w := pop[rng.Intn(len(pop))]
+	tournament := func() *individual {
+		w := &pop[rng.Intn(len(pop))]
 		for i := 1; i < opt.TournamentK; i++ {
-			c := pop[rng.Intn(len(pop))]
+			c := &pop[rng.Intn(len(pop))]
 			if c.fitness < w.fitness {
 				w = c
 			}
@@ -338,81 +350,56 @@ func evolve(train Dataset, opt Options, rng *stats.RNG, warm *Node) individual {
 		return w
 	}
 
+	next := e.next
 	for gen := 0; gen < opt.Generations; gen++ {
-		next := make([]individual, 0, opt.PopSize)
-		next = append(next, best) // elitism
-		for len(next) < opt.PopSize {
+		// Elitism. best's genome lives in pop's storage, which the
+		// generation after this one overwrites, so next[0] takes a copy.
+		next[0] = individual{g: append(next[0].g[:0], best.g...), fitness: best.fitness, rawMAPE: best.rawMAPE}
+		best = next[0]
+		for k := 1; k < len(next); k++ {
+			child := &next[k]
 			p1 := tournament()
 			roll := rng.Float64()
-			var child *Node
+			scored := false
 			switch {
 			case roll < opt.CrossoverProb:
-				child = crossover(p1.tree, tournament().tree, rng)
+				child.g = crossover(child.g, p1.g, tournament().g, rng)
 			case roll < opt.CrossoverProb+opt.MutateProb:
-				child = mutate(p1.tree, nvars, opt, rng)
-			default:
-				child = p1.tree.Clone()
+				child.g = mutate(child.g, p1.g, e.nvars, opt, rng)
+			default: // reproduction: the clone keeps its parent's fitness
+				*child = individual{g: append(child.g[:0], p1.g...), fitness: p1.fitness, rawMAPE: p1.rawMAPE}
+				scored = true
 			}
-			if child.Depth() > opt.MaxDepth {
-				child = randomTree(rng, nvars, opt.MaxDepth, false, opt.ConstMin, opt.ConstMax)
+			if child.g.depth() > opt.MaxDepth {
+				child.g = appendRandom(child.g[:0], rng, e.nvars, opt.MaxDepth, false, opt.ConstMin, opt.ConstMax)
+				scored = false
 			}
-			ind := evaluate(child)
-			if ind.fitness < best.fitness {
-				best = ind
+			if !scored {
+				e.score(child)
 			}
-			next = append(next, ind)
+			if child.fitness < best.fitness {
+				best = *child
+			}
 		}
-		pop = next
+		pop, next = next, pop
 		if best.rawMAPE < opt.TargetMAPE {
 			break
 		}
 	}
-	// Local constant refinement on the winner.
-	best = refineConstants(best, train, opt, rng)
-	return best
-}
-
-// crossover swaps a random subtree of a into a clone of... — standard
-// subtree crossover: replace a random node of a copy of a with a clone
-// of a random subtree of b.
-func crossover(a, b *Node, rng *stats.RNG) *Node {
-	child := a.Clone()
-	targets := child.nodes()
-	donorNodes := b.nodes()
-	target := targets[rng.Intn(len(targets))]
-	donor := donorNodes[rng.Intn(len(donorNodes))].Clone()
-	*target = *donor
-	return child
-}
-
-// mutate applies one of: subtree replacement, constant jitter, or
-// variable swap.
-func mutate(t *Node, nvars int, opt Options, rng *stats.RNG) *Node {
-	child := t.Clone()
-	targets := child.nodes()
-	target := targets[rng.Intn(len(targets))]
-	switch rng.Intn(3) {
-	case 0: // subtree replacement
-		*target = *randomTree(rng, nvars, 3, false, opt.ConstMin, opt.ConstMax)
-	case 1: // constant jitter (or inject a constant leaf)
-		if target.Op == OpConst {
-			target.Value *= math.Exp(rng.Normal(0, 0.3))
-		} else {
-			*target = Node{Op: OpConst, Value: opt.ConstMin + rng.Float64()*(opt.ConstMax-opt.ConstMin)}
-		}
-	default: // variable swap
-		*target = Node{Op: OpVar, VarIndex: rng.Intn(nvars)}
-	}
-	return child
+	e.pop, e.next = pop, next
+	// Local constant refinement on the winner, on a copy the next
+	// restart cannot overwrite.
+	best.g = append(genome(nil), best.g...)
+	return e.refineConstants(best, rng)
 }
 
 // refineConstants hill-climbs the constants of the best tree: each
 // round perturbs one constant multiplicatively and keeps improvements.
-func refineConstants(ind individual, train Dataset, opt Options, rng *stats.RNG) individual {
-	consts := []*Node{}
-	for _, n := range ind.tree.nodes() {
-		if n.Op == OpConst {
-			consts = append(consts, n)
+func (e *evolver) refineConstants(ind individual, rng *stats.RNG) individual {
+	var consts []int
+	for i, g := range ind.g {
+		if g.Op == OpConst {
+			consts = append(consts, i)
 		}
 	}
 	if len(consts) == 0 {
@@ -420,17 +407,17 @@ func refineConstants(ind individual, train Dataset, opt Options, rng *stats.RNG)
 	}
 	bestMAPE := ind.rawMAPE
 	for round := 0; round < 200; round++ {
-		c := consts[rng.Intn(len(consts))]
+		c := &ind.g[consts[rng.Intn(len(consts))]]
 		old := c.Value
 		c.Value *= math.Exp(rng.Normal(0, 0.15))
-		if m := mape(ind.tree, train); m < bestMAPE {
+		if m := e.train.mape(ind.g); m < bestMAPE {
 			bestMAPE = m
 		} else {
 			c.Value = old
 		}
 	}
 	ind.rawMAPE = bestMAPE
-	ind.fitness = bestMAPE + opt.ParsimonyCoeff*float64(ind.tree.Size())
+	ind.fitness = bestMAPE + e.opt.ParsimonyCoeff*float64(len(ind.g))
 	return ind
 }
 

@@ -42,7 +42,8 @@ func toJSONNode(n *Node) *jsonNode {
 	}
 }
 
-func fromJSONNode(j *jsonNode) (*Node, error) {
+// fromJSONNode decodes an expression over nvars variables.
+func fromJSONNode(j *jsonNode, nvars int) (*Node, error) {
 	if j == nil {
 		return nil, nil
 	}
@@ -50,11 +51,11 @@ func fromJSONNode(j *jsonNode) (*Node, error) {
 	if !ok {
 		return nil, fmt.Errorf("symreg: unknown op %q", j.Op)
 	}
-	l, err := fromJSONNode(j.L)
+	l, err := fromJSONNode(j.L, nvars)
 	if err != nil {
 		return nil, err
 	}
-	r, err := fromJSONNode(j.R)
+	r, err := fromJSONNode(j.R, nvars)
 	if err != nil {
 		return nil, err
 	}
@@ -63,6 +64,9 @@ func fromJSONNode(j *jsonNode) (*Node, error) {
 	case OpConst, OpVar:
 		if l != nil || r != nil {
 			return nil, fmt.Errorf("symreg: leaf %q with children", j.Op)
+		}
+		if op == OpVar && (j.Var < 0 || j.Var >= nvars) {
+			return nil, fmt.Errorf("symreg: variable index %d outside %d variables", j.Var, nvars)
 		}
 	case OpSq, OpCube, OpSqrt, OpLog:
 		if l == nil || r != nil {
@@ -123,7 +127,7 @@ func (f *Fitted) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &j); err != nil {
 		return err
 	}
-	expr, err := fromJSONNode(j.Expr)
+	expr, err := fromJSONNode(j.Expr, len(j.VarNames))
 	if err != nil {
 		return err
 	}

@@ -64,6 +64,9 @@ func TestFittedJSONRejectsBadShapes(t *testing.T) {
 		`{"label":"x","vars":["a"],"expr":{"op":"sq"}}`,                           // unary missing child
 		`{"label":"x","vars":["a"],"expr":{"op":"const","l":{"op":"const"}}}`,     // leaf with child
 		`{"label":"x","vars":["a","b"],"xScale":[1],"expr":{"op":"var","var":0}}`, // scale mismatch
+		`{"label":"x","vars":["epr"],"expr":{"op":"var","var":3}}`,                // var index past vars
+		`{"label":"x","vars":["a"],"expr":{"op":"var","var":-1}}`,                 // negative var index
+		`{"label":"x","expr":{"op":"var"}}`,                                       // var with no vars
 	}
 	for i, c := range cases {
 		var f Fitted
@@ -94,4 +97,32 @@ func TestFitThenRoundTripPreservesEverything(t *testing.T) {
 			t.Fatalf("prediction differs at x=%v", x)
 		}
 	}
+}
+
+// FuzzFittedJSON feeds arbitrary bytes to the model decoder: decoding
+// must never panic, and every model it accepts must Predict at its own
+// variables without panicking.
+func FuzzFittedJSON(f *testing.F) {
+	fix, err := json.Marshal(fittedFixture())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(fix)
+	f.Add([]byte(`{"label":"x","vars":["epr"],"expr":{"op":"var","var":3}}`))
+	f.Add([]byte(`{"label":"x","vars":["a"],"xScale":[0],"yScale":-2,"expr":{"op":"div","l":{"op":"var"},"r":{"op":"const"}}}`))
+	f.Add([]byte(`{"label":"x","vars":["a","b"],"expr":{"op":"log1p","l":{"op":"sqrt","l":{"op":"var","var":1}}}}`))
+	f.Add([]byte(`{"vars":[],"expr":{"op":"const","value":1e308}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var m Fitted
+		if json.Unmarshal(data, &m) != nil {
+			return
+		}
+		p := perfmodel.Params{}
+		for i, n := range m.VarNames {
+			p[n] = float64(i) + 0.5
+		}
+		if v := m.Predict(p); math.IsNaN(v) || v < 0 {
+			t.Fatalf("Predict = %v, want a non-negative number", v)
+		}
+	})
 }

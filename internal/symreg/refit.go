@@ -3,8 +3,6 @@ package symreg
 import (
 	"fmt"
 	"math"
-
-	"besst/internal/stats"
 )
 
 // Refit evolves an updated model for a grown training set, warm-started
@@ -29,44 +27,7 @@ func Refit(prev *Fitted, train, test Dataset, opt Options) *Fitted {
 		return Fit(label, train, test, opt)
 	}
 	train.Validate()
-	opt = opt.withDefaults()
-	master := stats.NewRNG(opt.Seed)
-
-	xScale := prev.XScale
-	yScale := defaultIfZero(prev.YScale, 1)
-	strain := scaleDataset(train, xScale, yScale)
-
-	var best individual
-	best.fitness = math.Inf(1)
-	best.rawMAPE = math.Inf(1)
-	for r := 0; r < opt.Restarts; r++ {
-		var warm *Node
-		if r == 0 {
-			warm = prev.Expr
-		}
-		cand := evolve(strain, opt, master.Split(), warm)
-		if cand.rawMAPE < best.rawMAPE {
-			best = cand
-		}
-		if best.rawMAPE < opt.TargetMAPE {
-			break
-		}
-	}
-
-	f := &Fitted{
-		Label:     prev.Label,
-		Expr:      best.tree,
-		VarNames:  train.VarNames,
-		TrainMAPE: best.rawMAPE,
-		TestMAPE:  math.NaN(),
-		XScale:    xScale,
-		YScale:    yScale,
-	}
-	if len(test.Y) > 0 {
-		f.TestMAPE = mape(best.tree, scaleDataset(test, xScale, yScale))
-	}
-	f.ResidualSigma = residualSigma(best.tree, strain)
-	return f
+	return fit(prev.Label, train, test, opt, prev.XScale, defaultIfZero(prev.YScale, 1), prev.Expr)
 }
 
 // PredictBatch evaluates the model at every row of xs — raw (unscaled)

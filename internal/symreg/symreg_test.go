@@ -55,7 +55,7 @@ func TestProtectedDivision(t *testing.T) {
 	}
 }
 
-func TestSizeDepthClone(t *testing.T) {
+func TestSizeDepth(t *testing.T) {
 	tree := &Node{
 		Op: OpAdd,
 		L:  &Node{Op: OpSq, L: &Node{Op: OpVar}},
@@ -66,11 +66,6 @@ func TestSizeDepthClone(t *testing.T) {
 	}
 	if tree.Depth() != 3 {
 		t.Fatalf("depth = %d", tree.Depth())
-	}
-	c := tree.Clone()
-	c.L.L.VarIndex = 5
-	if tree.L.L.VarIndex == 5 {
-		t.Fatal("clone aliased nodes")
 	}
 }
 
@@ -89,8 +84,8 @@ func TestStringRendering(t *testing.T) {
 func TestRandomTreeRespectsDepth(t *testing.T) {
 	rng := stats.NewRNG(1)
 	for i := 0; i < 200; i++ {
-		tr := randomTree(rng, 2, 5, i%2 == 0, 0, 2)
-		if d := tr.Depth(); d > 5 {
+		tr := appendRandom(nil, rng, 2, 5, i%2 == 0, 0, 2)
+		if d := tr.depth(); d > 5 {
 			t.Fatalf("depth %d exceeds limit", d)
 		}
 	}
@@ -102,7 +97,7 @@ func TestRandomTreeEvaluates(t *testing.T) {
 		if math.IsNaN(a) || math.IsNaN(b) || math.IsInf(a, 0) || math.IsInf(b, 0) {
 			return true
 		}
-		tr := randomTree(rng, 2, 4, false, 0, 2)
+		tr := appendRandom(nil, rng, 2, 4, false, 0, 2).node()
 		v := tr.Eval([]float64{a, b})
 		_ = v // any float (incl. Inf from overflow) is acceptable; must not panic
 		return true
@@ -155,7 +150,7 @@ func TestDatasetValidate(t *testing.T) {
 func TestMAPEHelper(t *testing.T) {
 	expr := &Node{Op: OpVar, VarIndex: 0} // identity
 	ds := Dataset{VarNames: []string{"x"}, X: [][]float64{{10}, {20}}, Y: []float64{10, 20}}
-	if m := mape(expr, ds); m != 0 {
+	if m := newEvaluator(ds).mape(appendNode(nil, expr)); m != 0 {
 		t.Fatalf("identity MAPE = %v", m)
 	}
 }
