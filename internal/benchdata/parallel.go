@@ -8,8 +8,8 @@ import (
 
 // Parallel-scaling benchmark reports and the comparator behind
 // `make bench-parallel`. besst-bench -parbench writes a ParallelReport
-// for the serial-vs-parallel tiers (Monte Carlo replication, the DSE
-// sweep, and the DES ablation rings); the comparator diffs a fresh
+// for the serial-vs-parallel tiers (Monte Carlo replication and the
+// DSE sweep); the comparator diffs a fresh
 // report against the committed baseline and fails on ns/op growth
 // beyond the tolerance or on parallel speedup dropping below the
 // baseline's. Speedup is only comparable when both reports were taken

@@ -11,8 +11,8 @@ func validReport() *ParallelReport {
 		GOMAXPROCS: 4, NumCPU: 4, Workers: 4, MCReplications: 32,
 		ScalingValid: true, IdenticalResults: true,
 		Benchmarks: []ParallelEntry{
-			{Name: "DESAblation/serial", Workers: 1, NsPerOp: 1000},
-			{Name: "DESAblation/parallel", Workers: 4, NsPerOp: 400, SpeedupVsSerial: 2.5},
+			{Name: "MonteCarloDirect/serial", Workers: 1, NsPerOp: 1000},
+			{Name: "MonteCarloDirect/parallel", Workers: 4, NsPerOp: 400, SpeedupVsSerial: 2.5},
 		},
 	}
 }
@@ -27,7 +27,7 @@ func TestCompareParallelNsRegression(t *testing.T) {
 	cur := validReport()
 	cur.Benchmarks[0].NsPerOp = 1200 // +20% > 10% tolerance
 	regs := CompareParallel(cur, validReport(), 10)
-	if len(regs) != 1 || regs[0].Metric != "ns/op" || regs[0].Name != "DESAblation/serial" {
+	if len(regs) != 1 || regs[0].Metric != "ns/op" || regs[0].Name != "MonteCarloDirect/serial" {
 		t.Fatalf("regressions = %v, want one ns/op entry", regs)
 	}
 	// Within tolerance: no regression.
@@ -79,7 +79,7 @@ func TestCompareParallelMissingBenchmark(t *testing.T) {
 	cur := validReport()
 	cur.Benchmarks = cur.Benchmarks[:1]
 	regs := CompareParallel(cur, validReport(), 10)
-	if len(regs) != 1 || regs[0].Metric != "missing" || regs[0].Name != "DESAblation/parallel" {
+	if len(regs) != 1 || regs[0].Metric != "missing" || regs[0].Name != "MonteCarloDirect/parallel" {
 		t.Fatalf("regressions = %v, want one missing entry", regs)
 	}
 }

@@ -36,7 +36,7 @@ func TestInstrumentationDoesNotPerturbResults(t *testing.T) {
 				col := obs.NewCollector()
 				got := Replicate(app, arch, n, append(base[:len(base):len(base)],
 					WithConcurrency(workers),
-					WithTracer(obs.Tee(buf, col)),
+					WithTracer(buf),
 					WithCollector(col))...)
 				requireIdenticalResults(t, want, got, tc.name)
 

@@ -29,7 +29,7 @@ type RunConfig struct {
 	// Results are byte-identical for every worker count.
 	Workers int
 	// Tracer, when non-nil, receives DES lifecycle hooks (dispatch,
-	// send, barrier wait). Replicate tags each trial's hooks with the
+	// return, send). Replicate tags each trial's hooks with the
 	// trial index as the stream. Tracing is a DES-engine feature:
 	// Direct mode has no events and emits nothing. The tracer must be
 	// safe for concurrent use when Workers != 1.

@@ -98,9 +98,9 @@ type Session struct {
 	stopCPU func() error
 	trace   *obs.TraceBuffer
 	// collector always exists (Phase timings are recorded regardless)
-	// but is only handed to engines — and only written out — when the
-	// corresponding flags ask for it, keeping uninstrumented runs on
-	// the nil-guarded fast path.
+	// but is only handed to runs — and only written out — when -metrics
+	// asks for it, keeping uninstrumented runs on the nil-guarded fast
+	// path.
 	collector *obs.Collector
 }
 
@@ -125,18 +125,14 @@ func (f *CommonFlags) Begin(tool string) (*Session, error) {
 func (s *Session) metricsEnabled() bool { return s.flags.Metrics != "" }
 
 // EngineTracer returns the tracer to install on DES engines: the trace
-// buffer and/or the metrics collector, or a truly nil interface when
-// neither was requested (so engines stay on the allocation-free
-// disabled path).
+// buffer, or an untyped nil when -trace was not requested. A typed-nil
+// *TraceBuffer would put every engine on the instrumented path, so the
+// nil case must stay a bare interface.
 func (s *Session) EngineTracer() des.Tracer {
-	var ts []obs.EngineTracer
-	if s.trace != nil {
-		ts = append(ts, s.trace)
+	if s.trace == nil {
+		return nil
 	}
-	if s.metricsEnabled() {
-		ts = append(ts, s.collector)
-	}
-	return obs.Tee(ts...)
+	return s.trace
 }
 
 // RunCollector returns the besst run collector, or nil when metrics

@@ -4,6 +4,8 @@ import (
 	"flag"
 	"path/filepath"
 	"testing"
+
+	"besst/internal/obs"
 )
 
 func sessionWith(t *testing.T, args ...string) *Session {
@@ -75,5 +77,26 @@ func TestCampaignAssembly(t *testing.T) {
 	}
 	if camp.Collector == nil {
 		t.Error("campaign lost the session collector")
+	}
+}
+
+// TestEngineTracerNilUnlessTracing pins the engine tracer to the trace
+// buffer alone: -metrics by itself must yield a nil interface (not a
+// typed-nil *TraceBuffer, which would put every engine on the
+// instrumented path), and -trace must yield the session's buffer.
+func TestEngineTracerNilUnlessTracing(t *testing.T) {
+	if tr := sessionWith(t).EngineTracer(); tr != nil {
+		t.Fatalf("no flags: EngineTracer() = %#v, want nil", tr)
+	}
+	if tr := sessionWith(t, "-metrics", t.TempDir()).EngineTracer(); tr != nil {
+		t.Fatalf("-metrics only: EngineTracer() = %#v, want nil", tr)
+	}
+	s := sessionWith(t, "-trace", filepath.Join(t.TempDir(), "trace.json"))
+	tr := s.EngineTracer()
+	if tr == nil {
+		t.Fatal("-trace: EngineTracer() = nil, want the trace buffer")
+	}
+	if buf, ok := tr.(*obs.TraceBuffer); !ok || buf != s.trace {
+		t.Fatalf("-trace: EngineTracer() = %#v, want the session's trace buffer", tr)
 	}
 }

@@ -23,16 +23,6 @@ func (e *allocEcho) HandleEvent(ctx *Context, ev Event) {
 	}
 }
 
-// allocTicker counts down via self events, exercising ScheduleSelf.
-type allocTicker struct{ remaining int }
-
-func (t *allocTicker) HandleEvent(ctx *Context, ev Event) {
-	if t.remaining > 0 {
-		t.remaining--
-		ctx.ScheduleSelf(1, Payload{Kind: 2, A: int64(t.remaining)})
-	}
-}
-
 func TestSequentialDispatchZeroAllocs(t *testing.T) {
 	e := NewEngine()
 	n := 0
@@ -52,39 +42,5 @@ func TestSequentialDispatchZeroAllocs(t *testing.T) {
 	// is when the queue's backing array grows to steady-state capacity.
 	if avg := testing.AllocsPerRun(10, run); avg > 0 {
 		t.Errorf("sequential dispatch: %.1f allocs/op on a warmed engine, want 0", avg)
-	}
-}
-
-func TestParallelWindowDispatchZeroAllocs(t *testing.T) {
-	// White-box view of the per-partition steady state: runWindow is the
-	// code every worker spends its life in, and it must not allocate.
-	// TestParallelRunZeroAllocs covers the full Run path (barrier,
-	// outboxes, exchange) on top of it.
-	e := NewParallelEngine(2, 10)
-	tickers := [2]*allocTicker{{}, {}}
-	ids := [2]ComponentID{
-		e.RegisterIn(0, tickers[0]),
-		e.RegisterIn(1, tickers[1]),
-	}
-
-	const events = 256
-	run := func() {
-		e.Reset()
-		for i, tk := range tickers {
-			tk.remaining = events
-			e.ScheduleAt(0, ids[i], Payload{})
-		}
-		for _, p := range e.parts {
-			p.runWindow(events + 2)
-		}
-	}
-	if avg := testing.AllocsPerRun(10, run); avg > 0 {
-		t.Errorf("partition window dispatch: %.1f allocs/op on a warmed engine, want 0", avg)
-	}
-	// Sanity: the ticker chains actually drained inside the window.
-	for i, tk := range tickers {
-		if tk.remaining != 0 {
-			t.Fatalf("partition %d processed only part of its chain (%d left)", i, tk.remaining)
-		}
 	}
 }

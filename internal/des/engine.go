@@ -39,17 +39,9 @@ type Component interface {
 	HandleEvent(ctx *Context, ev Event)
 }
 
-// scheduler is the engine-side contract Context needs: it is satisfied
-// by the sequential Engine and by each partition worker of the parallel
-// engine.
-type scheduler interface {
-	schedule(ev Event)
-	link(src ComponentID, port string) (halfLink, bool)
-}
-
 // Context gives a component access to the engine during HandleEvent.
 type Context struct {
-	sch scheduler
+	eng *Engine
 	id  ComponentID
 	now Time
 }
@@ -65,7 +57,7 @@ func (c *Context) ScheduleSelf(delay Time, payload Payload) {
 	if delay < 0 {
 		panic("des: negative delay")
 	}
-	c.sch.schedule(Event{Time: c.now + delay, Dst: c.id, Payload: payload})
+	c.eng.schedule(Event{Time: c.now + delay, Dst: c.id, Payload: payload})
 }
 
 // Send delivers payload over the named outgoing link of the handling
@@ -73,14 +65,14 @@ func (c *Context) ScheduleSelf(delay Time, payload Payload) {
 // extra. It panics if the component has no such link: wiring errors are
 // construction bugs, not runtime conditions.
 func (c *Context) Send(port string, extra Time, payload Payload) {
-	l, ok := c.sch.link(c.id, port)
+	l, ok := c.eng.link(c.id, port)
 	if !ok {
 		panic(fmt.Sprintf("des: component %d has no link %q", c.id, port))
 	}
 	if extra < 0 {
 		panic("des: negative extra latency")
 	}
-	c.sch.schedule(Event{
+	c.eng.schedule(Event{
 		Time:    c.now + l.latency + extra,
 		Dst:     l.dst,
 		SrcPort: l.dstPort,
@@ -91,7 +83,7 @@ func (c *Context) Send(port string, extra Time, payload Payload) {
 // LinkLatency reports the configured latency of one of the handling
 // component's outgoing links.
 func (c *Context) LinkLatency(port string) Time {
-	l, ok := c.sch.link(c.id, port)
+	l, ok := c.eng.link(c.id, port)
 	if !ok {
 		panic(fmt.Sprintf("des: component %d has no link %q", c.id, port))
 	}
@@ -130,7 +122,7 @@ type Engine struct {
 // NewEngine returns an empty engine at time zero.
 func NewEngine() *Engine {
 	e := &Engine{links: make(map[portKey]halfLink)}
-	e.ctx.sch = e
+	e.ctx.eng = e
 	return e
 }
 
@@ -182,7 +174,7 @@ func (e *Engine) schedule(ev Event) {
 		e.peakQueue = e.queue.len()
 	}
 	if e.tracer != nil {
-		e.tracer.EventQueued(e.stream, 0, int(ev.Dst), int64(e.now), int64(ev.Time))
+		e.tracer.EventQueued(e.stream, int(ev.Dst), int64(e.now), int64(ev.Time))
 	}
 }
 
@@ -261,9 +253,9 @@ func (e *Engine) dispatch(ev Event) {
 	e.ctx.id = ev.Dst
 	e.ctx.now = e.now
 	if e.tracer != nil {
-		e.tracer.EventDispatch(e.stream, 0, dst, int64(e.now))
+		e.tracer.EventDispatch(e.stream, dst, int64(e.now))
 		e.components[dst].HandleEvent(&e.ctx, ev)
-		e.tracer.EventReturn(e.stream, 0, int64(e.now))
+		e.tracer.EventReturn(e.stream, int64(e.now))
 	} else {
 		e.components[dst].HandleEvent(&e.ctx, ev)
 	}

@@ -34,6 +34,19 @@ func (p *pinger) HandleEvent(ctx *Context, ev Event) {
 	}
 }
 
+// echo bounces a counter back over its "peer" link until the counter
+// reaches zero, recording each arrival time.
+type echo struct {
+	times []Time
+}
+
+func (c *echo) HandleEvent(ctx *Context, ev Event) {
+	c.times = append(c.times, ctx.Now())
+	if n := ev.Payload.A; n > 0 {
+		ctx.Send("peer", 0, Payload{A: n - 1})
+	}
+}
+
 func TestFromSeconds(t *testing.T) {
 	if FromSeconds(1) != Second {
 		t.Fatal("1s conversion wrong")

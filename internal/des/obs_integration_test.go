@@ -9,13 +9,13 @@ import (
 )
 
 // buildRing wires n echo components into a ring with the given latency
-// on engine e, distributing them round-robin over its partitions.
-func buildRing(e *ParallelEngine, n int, latency Time) []*echo {
+// on engine e.
+func buildRing(e *Engine, n int, latency Time) []*echo {
 	comps := make([]*echo, n)
 	ids := make([]ComponentID, n)
 	for i := 0; i < n; i++ {
 		comps[i] = &echo{}
-		ids[i] = e.RegisterIn(i%e.Partitions(), comps[i])
+		ids[i] = e.Register(comps[i])
 	}
 	for i := 0; i < n; i++ {
 		e.Connect(ids[i], "peer", ids[(i+1)%n], "peer", latency)
@@ -23,18 +23,17 @@ func buildRing(e *ParallelEngine, n int, latency Time) []*echo {
 	return comps
 }
 
-// TestParallelEngineObservabilityFixture is the golden end-to-end
-// fixture for the observability layer: a real parallel DES run with
-// both a TraceBuffer and a Collector teed onto the engine must yield a
-// parseable Chrome trace and a versioned metrics document with
-// non-zero event counts and per-partition barrier-stall rows.
-func TestParallelEngineObservabilityFixture(t *testing.T) {
-	const nparts = 4
+// TestEngineObservabilityFixture is the golden end-to-end fixture for
+// the observability layer: a real DES run traced into a TraceBuffer,
+// with its totals reported to a Collector, must yield a parseable
+// Chrome trace and a versioned metrics document whose event count
+// matches the engine's.
+func TestEngineObservabilityFixture(t *testing.T) {
 	buf := obs.NewTraceBuffer(obs.DefaultTraceCap)
 	col := obs.NewCollector()
 
-	e := NewParallelEngine(nparts, 100)
-	e.SetTracer(obs.Tee(buf, col), 7)
+	e := NewEngine()
+	e.SetTracer(buf, 7)
 	buildRing(e, 8, 100)
 	e.ScheduleAt(0, 0, Payload{A: 40})
 	e.Run(0)
@@ -50,7 +49,7 @@ func TestParallelEngineObservabilityFixture(t *testing.T) {
 	}
 
 	// The Chrome trace must be valid JSON with complete ("X") spans
-	// for dispatches and barrier waits plus instant ("i") queue marks.
+	// for dispatches plus instant ("i") queue marks.
 	var cbuf bytes.Buffer
 	if err := buf.WriteChromeTrace(&cbuf); err != nil {
 		t.Fatalf("WriteChromeTrace: %v", err)
@@ -80,8 +79,8 @@ func TestParallelEngineObservabilityFixture(t *testing.T) {
 		t.Fatalf("trace phases %v: want both complete (X) and instant (i) events", phases)
 	}
 
-	// The metrics document must carry the schema version, the engine
-	// totals, and one row per partition with barrier-stall fields.
+	// The metrics document must carry the schema version and the
+	// engine totals, and no per-partition rows.
 	var mbuf bytes.Buffer
 	if err := col.WriteMetrics(&mbuf, "fixture"); err != nil {
 		t.Fatalf("WriteMetrics: %v", err)
@@ -91,20 +90,12 @@ func TestParallelEngineObservabilityFixture(t *testing.T) {
 		Tool            string `json:"tool"`
 		EventsProcessed uint64 `json:"events_processed"`
 		PeakQueueDepth  int    `json:"peak_queue_depth"`
-		EventsExchanged uint64 `json:"events_exchanged"`
-		Partitions      []struct {
-			Part            int    `json:"part"`
-			Events          uint64 `json:"events"`
-			BarrierStallNs  *int64 `json:"barrier_stall_ns"`
-			Windows         uint64 `json:"windows"`
-			CrossEventsSent uint64 `json:"cross_events_sent"`
-		} `json:"partitions"`
 	}
 	if err := json.Unmarshal(mbuf.Bytes(), &m); err != nil {
 		t.Fatalf("metrics document is not valid JSON: %v", err)
 	}
-	if m.SchemaVersion != obs.MetricsSchemaVersion {
-		t.Fatalf("schema_version = %d, want %d", m.SchemaVersion, obs.MetricsSchemaVersion)
+	if m.SchemaVersion != 5 || obs.MetricsSchemaVersion != 5 {
+		t.Fatalf("schema_version = %d (const %d), want 5", m.SchemaVersion, obs.MetricsSchemaVersion)
 	}
 	if m.Tool != "fixture" {
 		t.Fatalf("tool = %q, want fixture", m.Tool)
@@ -115,37 +106,21 @@ func TestParallelEngineObservabilityFixture(t *testing.T) {
 	if m.PeakQueueDepth <= 0 {
 		t.Fatalf("peak_queue_depth = %d, want > 0", m.PeakQueueDepth)
 	}
-	if len(m.Partitions) != nparts {
-		t.Fatalf("%d partition rows, want %d", len(m.Partitions), nparts)
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(mbuf.Bytes(), &keys); err != nil {
+		t.Fatal(err)
 	}
-	var counted, crossed uint64
-	for _, p := range m.Partitions {
-		counted += p.Events
-		crossed += p.CrossEventsSent
-		if p.BarrierStallNs == nil {
-			t.Fatalf("partition %d: barrier_stall_ns field missing", p.Part)
-		}
-		if p.Windows == 0 {
-			t.Fatalf("partition %d: no barrier windows recorded", p.Part)
-		}
-	}
-	if counted != m.EventsProcessed {
-		t.Fatalf("partition events sum %d != events_processed %d", counted, m.EventsProcessed)
-	}
-	// Every ring hop crosses partitions here, so the adaptive exchange
-	// counters must be populated and consistent.
-	if m.EventsExchanged == 0 || crossed != m.EventsExchanged {
-		t.Fatalf("cross-event sum %d vs events_exchanged %d, want equal and non-zero",
-			crossed, m.EventsExchanged)
+	if _, ok := keys["partitions"]; ok {
+		t.Fatal("metrics document still carries a partitions key")
 	}
 }
 
-// TestTracerDoesNotPerturbParallelRun asserts that attaching a
-// recording tracer leaves the simulated trajectory untouched: same
-// delivery times, same processed count, same end time.
-func TestTracerDoesNotPerturbParallelRun(t *testing.T) {
+// TestTracerDoesNotPerturbRun asserts that attaching a recording tracer
+// leaves the simulated trajectory untouched: same delivery times, same
+// processed count, same end time.
+func TestTracerDoesNotPerturbRun(t *testing.T) {
 	run := func(tr Tracer) ([]*echo, Time, uint64) {
-		e := NewParallelEngine(4, 100)
+		e := NewEngine()
 		if tr != nil {
 			e.SetTracer(tr, 0)
 		}
@@ -156,7 +131,7 @@ func TestTracerDoesNotPerturbParallelRun(t *testing.T) {
 	}
 
 	plain, plainEnd, plainN := run(nil)
-	traced, tracedEnd, tracedN := run(obs.Tee(obs.NewTraceBuffer(1024), obs.NewCollector()))
+	traced, tracedEnd, tracedN := run(obs.NewTraceBuffer(1024))
 
 	if plainEnd != tracedEnd || plainN != tracedN {
 		t.Fatalf("traced run diverged: end %v vs %v, processed %d vs %d",

@@ -2,13 +2,16 @@
 // engine that FT-BESST is built on. It plays the role of Sandia's
 // Structural Simulation Toolkit (SST) in the original BE-SST stack: it
 // owns simulated time, delivers timestamped events between components
-// over latency links, and offers both a sequential executor and a
-// conservative parallel executor that exploits link latency as lookahead.
+// over latency links, and executes them sequentially in timestamp order.
 //
 // The engine is deliberately coarse-grained. BE-SST components exchange
 // on the order of one event per modeled application block, so the engine
 // optimizes for deterministic ordering and cheap scheduling rather than
-// for cycle-level throughput.
+// for cycle-level throughput. There is no parallel executor: the
+// zero-latency collective links of a compiled BE-SST program leave no
+// lookahead to partition on, so parallelism lives a level up, across
+// Monte Carlo trials and sweep points (internal/par) and campaign
+// shards (internal/dist).
 package des
 
 import (

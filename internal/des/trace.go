@@ -1,78 +1,34 @@
 package des
 
 // Tracer receives engine lifecycle hooks: event dispatch and return,
-// event scheduling (sends and self-schedules), and the window-barrier
-// transitions of the parallel engine. The observability layer
-// (internal/obs) implements it; the interface is deliberately typed
-// with builtins only so implementations need not import this package.
+// and event scheduling (sends and self-schedules). The observability
+// layer (internal/obs) implements it; the interface is deliberately
+// typed with builtins only so implementations need not import this
+// package.
 //
 // Hook contract:
 //
 //   - Hooks are informational: implementations must not call back into
 //     the engine, and nothing they do can alter simulation results —
-//     the engines consult the tracer after their own state transitions
+//     the engine consults the tracer after its own state transitions
 //     are complete.
-//   - ParallelEngine partitions invoke hooks concurrently from their
-//     worker goroutines, so implementations must be safe for concurrent
-//     use. The sequential Engine calls from a single goroutine.
+//   - One engine calls its hooks from a single goroutine, but engines
+//     of concurrent Monte Carlo trials may share one tracer, so
+//     implementations must be safe for concurrent use.
 //   - `stream` distinguishes runs sharing one tracer (e.g. Monte Carlo
-//     trials); `part` is the partition index (0 for the sequential
-//     engine); times are simulated nanoseconds.
+//     trials); times are simulated nanoseconds.
 //
-// Both engines hold the tracer behind a nil guard: with no tracer set
+// The engine holds the tracer behind a nil guard: with no tracer set
 // the instrumented paths cost one pointer comparison and allocate
 // nothing, preserving the byte-identical replication gate and the
 // bench trajectory.
 type Tracer interface {
 	// EventDispatch fires immediately before a component handles an
 	// event; EventReturn fires when the handler returns.
-	EventDispatch(stream, part, comp int, simNs int64)
-	EventReturn(stream, part int, simNs int64)
+	EventDispatch(stream, comp int, simNs int64)
+	EventReturn(stream int, simNs int64)
 	// EventQueued fires when an event is scheduled (Send, ScheduleSelf,
 	// or an initial ScheduleAt): dst is the destination component,
 	// simNs the scheduling time, deliverNs the delivery time.
-	EventQueued(stream, part, dst int, simNs, deliverNs int64)
-	// BarrierArrive fires when a parallel partition finishes its window
-	// and begins waiting at the synchronization barrier; BarrierResume
-	// fires when the coordinator releases it into the next window.
-	// windowNs is the exclusive window edge the hook refers to.
-	BarrierArrive(stream, part int, windowNs int64)
-	BarrierResume(stream, part int, windowNs int64)
-}
-
-// AdaptiveTracer is an optional extension of Tracer for the adaptive
-// parallel engine. A tracer that also implements it (checked once, at
-// SetTracer) receives the per-window synchronization decisions that
-// make the engine's adaptive behaviour observable: which edge each
-// active partition ran to, how far the static lookahead widening
-// stretched its window, how many events crossed partitions at the
-// barrier, and any committed rebalance pass. Hooks fire from the
-// coordinator goroutine between windows — never concurrently with each
-// other, but possibly concurrently with hooks from other engines
-// sharing the tracer, so implementations must still be safe for
-// concurrent use.
-type AdaptiveTracer interface {
-	// WindowClosed reports one partition's completed window: windowNs
-	// is the exclusive edge it ran to, widthNs the widened window span
-	// measured from the global minimum next-event time (-1 when the
-	// partition was unconstrained and drained freely), localEvents the
-	// events it delivered inside the window, and crossSent the events
-	// it posted to other partitions at the barrier.
-	WindowClosed(stream, part int, windowNs, widthNs int64, localEvents, crossSent int)
-	// RebalanceApplied reports a committed partition-rebalance pass:
-	// moved components changed partition, and the heaviest partition's
-	// measured event load fell from maxBefore to the predicted
-	// maxAfter.
-	RebalanceApplied(stream, moved int, maxBefore, maxAfter uint64)
-}
-
-// PartitionStat is one partition's cumulative counters over a
-// ParallelEngine run, exposed for the run-metrics collector.
-type PartitionStat struct {
-	// Processed is the number of events this partition delivered.
-	Processed uint64
-	// PeakQueueDepth is the deepest its private event queue ever grew.
-	PeakQueueDepth int
-	// Windows is the number of synchronization windows it executed.
-	Windows uint64
+	EventQueued(stream, dst int, simNs, deliverNs int64)
 }

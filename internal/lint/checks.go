@@ -338,9 +338,8 @@ func isIdentOrFieldChain(e ast.Expr) bool {
 // goroutinediscipline
 
 // concurrencyScope is where goroutines may be spawned: the worker pool,
-// the conservative-window parallel DES engine, the observability layer
-// (whose hooks are invoked from engine partitions and must guard shared
-// buffers), the campaign resilience runner (whose watchdog must race a
+// the observability layer (whose hooks are invoked from concurrent
+// Monte Carlo trials and must guard shared buffers), the campaign resilience runner (whose watchdog must race a
 // trial attempt against a timer), the simulation service (whose
 // scheduler, campaign runners, and signal handling are daemon plumbing
 // outside any single trial), the distributed coordinator/worker layer
@@ -351,15 +350,15 @@ func isIdentOrFieldChain(e ast.Expr) bool {
 // else must go through par.ForEach so draining, panic propagation, and
 // the determinism contract stay in one place.
 var concurrencyScope = []string{
-	"internal/par", "internal/des", "internal/obs", "internal/resilience",
-	"internal/serve", "internal/dist", "internal/serveclient", "internal/dse",
+	"internal/par", "internal/obs", "internal/resilience", "internal/serve",
+	"internal/dist", "internal/serveclient", "internal/dse",
 }
 
 type goroutinedisciplineCheck struct{}
 
 func (*goroutinedisciplineCheck) Name() string { return "goroutinediscipline" }
 func (*goroutinedisciplineCheck) Doc() string {
-	return "go statements and sync.WaitGroup are confined to internal/par, internal/des, internal/obs, internal/resilience, internal/serve, internal/dist, internal/serveclient, and internal/dse"
+	return "go statements and sync.WaitGroup are confined to internal/par, internal/obs, internal/resilience, internal/serve, internal/dist, internal/serveclient, and internal/dse"
 }
 
 func (c *goroutinedisciplineCheck) Run(pkg *Package, report ReportFunc) {
@@ -370,11 +369,11 @@ func (c *goroutinedisciplineCheck) Run(pkg *Package, report ReportFunc) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch s := n.(type) {
 			case *ast.GoStmt:
-				report(s.Pos(), "bare go statement outside the concurrency scope (internal/par, internal/des, internal/obs, internal/resilience, internal/serve, internal/dist, internal/serveclient, internal/dse); use par.ForEach so pool draining and panic propagation stay centralized")
+				report(s.Pos(), "bare go statement outside the concurrency scope (internal/par, internal/obs, internal/resilience, internal/serve, internal/dist, internal/serveclient, internal/dse); use par.ForEach so pool draining and panic propagation stay centralized")
 			case *ast.Ident:
 				if tn, ok := pkg.Info.Uses[s].(*types.TypeName); ok &&
 					tn.Pkg() != nil && tn.Pkg().Path() == "sync" && tn.Name() == "WaitGroup" {
-					report(s.Pos(), "sync.WaitGroup outside the concurrency scope (internal/par, internal/des, internal/obs, internal/resilience, internal/serve, internal/dist, internal/serveclient, internal/dse); use par.ForEach instead of hand-rolled fan-out")
+					report(s.Pos(), "sync.WaitGroup outside the concurrency scope (internal/par, internal/obs, internal/resilience, internal/serve, internal/dist, internal/serveclient, internal/dse); use par.ForEach instead of hand-rolled fan-out")
 				}
 			}
 			return true

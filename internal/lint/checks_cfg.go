@@ -86,8 +86,8 @@ func fieldObject(pkg *Package, sel *ast.SelectorExpr) *types.Var {
 
 // desHotFuncs is the built-in hot-path scope: the per-event functions
 // of internal/des — queue operations, sequential dispatch, and the
-// parallel engine's window machinery — whose zero-allocation discipline
-// the AllocsPerRun tests measure dynamically and this check enforces
+// Context calls handlers make — whose zero-allocation discipline the
+// AllocsPerRun tests measure dynamically and this check enforces
 // statically, on every path. Functions elsewhere opt in with a
 // //lint:hotpath doc directive.
 var desHotFuncs = map[string]bool{
@@ -103,28 +103,13 @@ var desHotFuncs = map[string]bool{
 	"Engine.dispatch":   true,
 	"Engine.schedule":   true,
 	"Engine.ScheduleAt": true,
+	"Engine.link":       true,
 
 	"Context.Now":          true,
 	"Context.Self":         true,
 	"Context.ScheduleSelf": true,
 	"Context.Send":         true,
 	"Context.LinkLatency":  true,
-
-	"ParallelEngine.Run":         true,
-	"ParallelEngine.ScheduleAt":  true,
-	"ParallelEngine.safeBound":   true,
-	"ParallelEngine.exchange":    true,
-	"ParallelEngine.flushCounts": true,
-	"ParallelEngine.computeDist": true,
-
-	"partition.schedule":   true,
-	"partition.link":       true,
-	"partition.runWindow":  true,
-	"partition.mergeInbox": true,
-	"partition.work":       true,
-	"partition.Len":        true,
-	"partition.Less":       true,
-	"partition.Swap":       true,
 }
 
 // desHotScope is where the built-in table applies.
@@ -134,7 +119,7 @@ type hotallocCheck struct{}
 
 func (*hotallocCheck) Name() string { return "hotalloc" }
 func (*hotallocCheck) Doc() string {
-	return "hot-path functions (internal/des queue/dispatch/parallel plus //lint:hotpath) must not contain heap-allocating constructs"
+	return "hot-path functions (internal/des queue/dispatch/context plus //lint:hotpath) must not contain heap-allocating constructs"
 }
 
 func (c *hotallocCheck) Run(pkg *Package, report ReportFunc) {

@@ -16,7 +16,7 @@ var update = flag.Bool("update", false, "rewrite the expected.txt golden files")
 // under. The synthetic paths matter: path-scoped checks decide from the
 // import path whether a package is in scope, so the nodeterminism
 // fixture poses as part of internal/des while the goroutine fixture
-// stays outside internal/par and internal/des.
+// stays outside the concurrency scope.
 var fixtures = []struct {
 	dir        string
 	importPath string

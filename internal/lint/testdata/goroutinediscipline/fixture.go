@@ -1,5 +1,5 @@
 // Package gofix exercises the goroutinediscipline check: hand-rolled
-// fan-out outside internal/par and internal/des must be flagged at both
+// fan-out outside the concurrency scope must be flagged at both
 // the go statement and the sync.WaitGroup use.
 package gofix
 

@@ -29,11 +29,10 @@ type chromeTrace struct {
 }
 
 // WriteChromeTrace exports the buffer's records as Chrome trace_event
-// JSON. Streams map to trace processes (pid) and partitions to threads
-// (tid), so a Monte Carlo campaign renders as one lane per trial per
-// partition. Dispatch and barrier records become "X" complete events
-// with wall durations; queued records become "i" instants. Records
-// still open (WallDur < 0) are emitted with zero duration.
+// JSON. Streams map to trace processes (pid), so a Monte Carlo campaign
+// renders as one lane per trial. Dispatch records become "X" complete
+// events with wall durations; queued records become "i" instants.
+// Records still open (WallDur < 0) are emitted with zero duration.
 func (b *TraceBuffer) WriteChromeTrace(w io.Writer) error {
 	recs := b.Records()
 	tr := chromeTrace{
@@ -49,7 +48,6 @@ func (b *TraceBuffer) WriteChromeTrace(w io.Writer) error {
 		ev := chromeEvent{
 			TS:  float64(r.Wall) / 1e3,
 			PID: r.Stream,
-			TID: r.Part,
 		}
 		switch r.Kind {
 		case KindDispatch:
@@ -64,13 +62,6 @@ func (b *TraceBuffer) WriteChromeTrace(w io.Writer) error {
 			ev.Phase = "i"
 			ev.Scope = "t"
 			ev.Args = map[string]any{"dst": r.Comp, "sim_ns": r.Sim, "deliver_ns": r.Aux}
-		case KindBarrier:
-			ev.Name = "barrier wait"
-			ev.Phase = "X"
-			if r.WallDur > 0 {
-				ev.Dur = float64(r.WallDur) / 1e3
-			}
-			ev.Args = map[string]any{"window_ns": r.Sim, "resume_window_ns": r.Aux}
 		default:
 			continue
 		}

@@ -13,27 +13,25 @@ import (
 
 // MetricsSchemaVersion is bumped whenever the METRICS_*.json layout
 // changes incompatibly, so downstream tooling can reject documents it
-// does not understand. Version 2 added the adaptive parallel-engine
-// fields: per-partition window widths and cross-partition event counts,
-// the engine-wide exchange total, and committed rebalance decisions.
-// Version 3 added the distributed-execution fields: shard completions,
-// shard retry attempts, replica divergences, and workers lost.
-// Version 4 added the surrogate-guided DSE search fields: per-round
-// evaluation counts and best-so-far means.
-const MetricsSchemaVersion = 4
+// does not understand. Version 3 added the distributed-execution
+// fields: shard completions, shard retry attempts, replica divergences,
+// and workers lost. Version 4 added the surrogate-guided DSE search
+// fields: per-round evaluation counts and best-so-far means. Version 5
+// removed the parallel-engine fields: per-partition rows, the
+// cross-partition exchange total, and rebalance decisions.
+const MetricsSchemaVersion = 5
 
-// Collector aggregates run-level metrics. It implements the engine
-// tracer hooks (per-partition event counts, barrier stalls, window
-// counts), the besst run-collector hooks (per-trial Monte Carlo
-// timings, engine totals), and the dse sweep-collector hooks (per-point
-// timings) — all structurally, so the simulation packages never import
-// obs. All methods are safe for concurrent use.
+// Collector aggregates run-level metrics. It implements the besst
+// run-collector hooks (per-trial Monte Carlo timings, engine totals),
+// the dse sweep-collector hooks (per-point timings), and the campaign
+// fault and distributed-execution hooks — all structurally, so the
+// simulation packages never import obs. All methods are safe for
+// concurrent use.
 type Collector struct {
 	mu     sync.Mutex
-	clock  func() int64         // guarded by mu
-	start  int64                // guarded by mu
-	parts  map[int]*partMetrics // guarded by mu
-	phases []*PhaseMetrics      // guarded by mu
+	clock  func() int64    // guarded by mu
+	start  int64           // guarded by mu
+	phases []*PhaseMetrics // guarded by mu
 	// trials and points are map references passed whole into
 	// spanStart/spanDone, which lock before touching entries; the
 	// references themselves are never reassigned after construction, so
@@ -47,10 +45,6 @@ type Collector struct {
 	retries     map[int]int // guarded by mu
 	quarantined map[int]int // guarded by mu
 	replayed    int         // guarded by mu
-
-	// Adaptive parallel-engine decisions (AdaptiveTracer hooks).
-	eventsExchanged uint64           // guarded by mu
-	rebalances      []RebalanceEntry // guarded by mu
 
 	// Distributed-execution provenance (dist coordinator hooks):
 	// completed shards, failed shard attempts per shard, replica
@@ -66,22 +60,6 @@ type Collector struct {
 
 	eventsProcessed uint64 // guarded by mu
 	peakQueueDepth  int    // guarded by mu
-}
-
-type partMetrics struct {
-	events       uint64
-	stallNs      int64
-	windows      uint64
-	arrivedWall  int64 // wall ns of the open BarrierArrive, -1 when closed
-	arrivedValid bool
-
-	// Adaptive window decisions: sum/count of bounded widened window
-	// widths (simulated ns), windows that ran unbounded (free drain),
-	// and cross-partition events this partition posted at barriers.
-	widthSumNs     int64
-	boundedWindows uint64
-	drainWindows   uint64
-	crossSent      uint64
 }
 
 type spanMetrics struct {
@@ -104,7 +82,6 @@ type PhaseMetrics struct {
 func NewCollector() *Collector {
 	c := &Collector{
 		clock:        wallClock,
-		parts:        map[int]*partMetrics{},
 		trials:       map[int]*spanMetrics{},
 		points:       map[int]*spanMetrics{},
 		retries:      map[int]int{},
@@ -123,88 +100,6 @@ func (c *Collector) setClock(clock func() int64) {
 	defer c.mu.Unlock()
 	c.clock = clock
 	c.start = clock()
-}
-
-// part returns partition i's row, creating it on first use. Caller
-// holds c.mu.
-//
-//lint:ignore lockguard the caller-holds-mu contract is stated above; every caller is a locked hook method
-func (c *Collector) part(i int) *partMetrics {
-	p, ok := c.parts[i]
-	if !ok {
-		p = &partMetrics{}
-		c.parts[i] = p
-	}
-	return p
-}
-
-// Engine tracer hooks. The collector keys counters by partition only —
-// streams (Monte Carlo trials) share partition rows, which is what the
-// per-partition stall report wants: total time partition i spent
-// blocked across the whole run.
-
-// EventDispatch counts one delivered event against the partition.
-func (c *Collector) EventDispatch(stream, part, comp int, simNs int64) {
-	c.mu.Lock()
-	c.part(part).events++
-	c.mu.Unlock()
-}
-
-// EventReturn is a no-op: the collector keeps counts, not durations, at
-// event granularity.
-func (c *Collector) EventReturn(stream, part int, simNs int64) {}
-
-// EventQueued is a no-op: queue growth is summarized by the engine's
-// own peak-depth counter, reported via EngineTotals.
-func (c *Collector) EventQueued(stream, part, dst int, simNs, deliverNs int64) {}
-
-// BarrierArrive marks the start of a barrier stall for the partition.
-func (c *Collector) BarrierArrive(stream, part int, windowNs int64) {
-	c.mu.Lock()
-	p := c.part(part)
-	p.arrivedWall = c.clock()
-	p.arrivedValid = true
-	c.mu.Unlock()
-}
-
-// BarrierResume closes the partition's open stall and counts a window.
-func (c *Collector) BarrierResume(stream, part int, windowNs int64) {
-	c.mu.Lock()
-	p := c.part(part)
-	p.windows++
-	if p.arrivedValid {
-		p.stallNs += c.clock() - p.arrivedWall
-		p.arrivedValid = false
-	}
-	c.mu.Unlock()
-}
-
-// Adaptive parallel-engine hooks (des.AdaptiveTracer, structurally).
-
-// WindowClosed accumulates one partition window's adaptive decision:
-// the widened width (widthNs < 0 marks an unbounded free drain) and the
-// events the partition posted to other partitions at the barrier.
-func (c *Collector) WindowClosed(stream, part int, windowNs, widthNs int64, localEvents, crossSent int) {
-	c.mu.Lock()
-	p := c.part(part)
-	if widthNs < 0 {
-		p.drainWindows++
-	} else {
-		p.widthSumNs += widthNs
-		p.boundedWindows++
-	}
-	p.crossSent += uint64(crossSent)
-	c.eventsExchanged += uint64(crossSent)
-	c.mu.Unlock()
-}
-
-// RebalanceApplied records one committed partition-rebalance pass.
-func (c *Collector) RebalanceApplied(stream, moved int, maxBefore, maxAfter uint64) {
-	c.mu.Lock()
-	c.rebalances = append(c.rebalances, RebalanceEntry{
-		Moved: moved, MaxLoadBefore: maxBefore, MaxLoadAfter: maxAfter,
-	})
-	c.mu.Unlock()
 }
 
 // Run-level hooks (besst / dse structural interfaces).
@@ -327,7 +222,7 @@ func (c *Collector) EngineTotals(processed uint64, peakQueueDepth int) {
 
 // Progress is a lightweight live snapshot of campaign advancement —
 // the document besst-serve streams to polling clients. Unlike Snapshot
-// it allocates nothing per partition and samples no runtime metrics.
+// it samples no runtime metrics.
 type Progress struct {
 	// TrialsStarted/TrialsDone count Monte Carlo trial brackets;
 	// PointsStarted/PointsDone count DSE sweep-point brackets.
@@ -406,31 +301,6 @@ func (c *Collector) PhaseStart(name string) (done func()) {
 	}
 }
 
-// PartitionEntry is one partition's row in the metrics document. The
-// adaptive fields come from the parallel engine's WindowClosed hook:
-// mean widened window width over bounded windows (simulated ns), the
-// number of windows that ran unbounded (free drain, excluded from the
-// mean), and cross-partition events posted at barriers.
-type PartitionEntry struct {
-	Part           int    `json:"part"`
-	Events         uint64 `json:"events"`
-	BarrierStallNs int64  `json:"barrier_stall_ns"`
-	Windows        uint64 `json:"windows"`
-
-	WindowWidthMeanNs int64  `json:"window_width_mean_ns,omitempty"`
-	DrainWindows      uint64 `json:"drain_windows,omitempty"`
-	CrossEventsSent   uint64 `json:"cross_events_sent,omitempty"`
-}
-
-// RebalanceEntry is one committed partition-rebalance decision: Moved
-// components changed partition, lowering the heaviest partition's
-// measured event load from MaxLoadBefore to the predicted MaxLoadAfter.
-type RebalanceEntry struct {
-	Moved         int    `json:"moved"`
-	MaxLoadBefore uint64 `json:"max_load_before"`
-	MaxLoadAfter  uint64 `json:"max_load_after"`
-}
-
 // SpanEntry is one trial or sweep point's timing row.
 type SpanEntry struct {
 	Index  int   `json:"index"`
@@ -473,17 +343,10 @@ type Metrics struct {
 	EventsProcessed uint64 `json:"events_processed"`
 	PeakQueueDepth  int    `json:"peak_queue_depth"`
 
-	// EventsExchanged is the total number of events delivered across
-	// partitions at window barriers; Rebalances lists committed
-	// partition-rebalance passes in commit order.
-	EventsExchanged uint64           `json:"events_exchanged,omitempty"`
-	Rebalances      []RebalanceEntry `json:"rebalances,omitempty"`
-
-	Phases     []PhaseMetrics     `json:"phases,omitempty"`
-	Partitions []PartitionEntry   `json:"partitions,omitempty"`
-	Trials     []SpanEntry        `json:"trials,omitempty"`
-	Points     []SpanEntry        `json:"sweep_points,omitempty"`
-	Runtime    map[string]float64 `json:"runtime_metrics,omitempty"`
+	Phases  []PhaseMetrics     `json:"phases,omitempty"`
+	Trials  []SpanEntry        `json:"trials,omitempty"`
+	Points  []SpanEntry        `json:"sweep_points,omitempty"`
+	Runtime map[string]float64 `json:"runtime_metrics,omitempty"`
 
 	// Campaign fault provenance: indices that ended quarantined after
 	// exhausting their retries, per-trial failed-attempt counts, and
@@ -526,19 +389,6 @@ func (c *Collector) Snapshot(tool string) *Metrics {
 			ph.WallNs = c.clock() - ph.startWall
 		}
 		m.Phases = append(m.Phases, ph)
-	}
-	m.EventsExchanged = c.eventsExchanged
-	m.Rebalances = append([]RebalanceEntry(nil), c.rebalances...)
-	for _, part := range sortedKeys(c.parts) {
-		p := c.parts[part]
-		entry := PartitionEntry{
-			Part: part, Events: p.events, BarrierStallNs: p.stallNs, Windows: p.windows,
-			DrainWindows: p.drainWindows, CrossEventsSent: p.crossSent,
-		}
-		if p.boundedWindows > 0 {
-			entry.WindowWidthMeanNs = p.widthSumNs / int64(p.boundedWindows)
-		}
-		m.Partitions = append(m.Partitions, entry)
 	}
 	m.Trials = spanEntries(c.trials)
 	m.Points = spanEntries(c.points)

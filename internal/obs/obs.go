@@ -7,14 +7,14 @@
 //
 // Two consumers split the work:
 //
-//   - TraceBuffer records per-event lifecycle records (dispatch, send,
-//     barrier wait) into a preallocated ring buffer and exports them in
-//     Chrome trace_event JSON, so a run opens directly in
-//     chrome://tracing or Perfetto.
-//   - Collector aggregates run-level metrics — events processed,
-//     per-partition barrier stalls, peak queue depth, wall-clock per
-//     phase, per-trial Monte Carlo timings, DSE sweep point timings —
-//     and writes them as a versioned METRICS_*.json document.
+//   - TraceBuffer implements des.Tracer: it records per-event lifecycle
+//     records (dispatch, send) into a preallocated ring buffer and
+//     exports them in Chrome trace_event JSON, so a run opens directly
+//     in chrome://tracing or Perfetto.
+//   - Collector aggregates run-level metrics — events processed, peak
+//     queue depth, wall-clock per phase, per-trial Monte Carlo timings,
+//     DSE sweep point timings — and writes them as a versioned
+//     METRICS_*.json document.
 //
 // obs is the one sanctioned reader of the wall clock in the simulator
 // stack: the nodeterminism lint check keeps time.Now out of the
@@ -41,10 +41,6 @@ const (
 	// KindQueued is one event being scheduled: Comp is the destination
 	// component, Sim the scheduling time, Aux the delivery time.
 	KindQueued
-	// KindBarrier is one partition waiting at a window barrier: Sim is
-	// the window edge it arrived from, WallDur the wall time spent
-	// blocked, Aux the window edge it resumed into (0 while open).
-	KindBarrier
 )
 
 func (k Kind) String() string {
@@ -53,30 +49,21 @@ func (k Kind) String() string {
 		return "dispatch"
 	case KindQueued:
 		return "queued"
-	case KindBarrier:
-		return "barrier"
 	}
 	return "unknown"
 }
 
 // Record is one fixed-size trace entry. Stream distinguishes engines
-// sharing a tracer (Monte Carlo trial index); Part is the engine
-// partition (0 for the sequential engine); Wall is nanoseconds since
+// sharing a tracer (Monte Carlo trial index); Wall is nanoseconds since
 // the buffer was created.
 type Record struct {
 	Kind    Kind
 	Stream  int32
-	Part    int32
 	Comp    int32
 	Sim     int64 // simulated ns
 	Aux     int64 // kind-specific (see Kind docs)
 	Wall    int64 // wall ns since trace start
-	WallDur int64 // wall ns duration (-1 while a paired record is open)
-}
-
-// streamPart packs a (stream, part) pair into one map key.
-func streamPart(stream, part int) uint64 {
-	return uint64(uint32(stream))<<32 | uint64(uint32(part))
+	WallDur int64 // wall ns duration (-1 while a dispatch record is open)
 }
 
 // TraceBuffer is a bounded, concurrency-safe recorder implementing the
@@ -88,13 +75,11 @@ type TraceBuffer struct {
 	recs    []Record // guarded by mu
 	n       uint64   // total records ever appended; guarded by mu
 	dropped uint64   // guarded by mu
-	// open maps (stream, part) to the absolute index of that lane's
-	// open dispatch/barrier record awaiting its closing hook; both
-	// guarded by mu.
-	openDispatch map[uint64]uint64
-	openBarrier  map[uint64]uint64 // guarded by mu
-	clock        func() int64      // wall ns; swappable for deterministic tests; guarded by mu
-	start        int64             // trace epoch; guarded by mu
+	// openDispatch maps a stream to the absolute index of its open
+	// dispatch record awaiting EventReturn.
+	openDispatch map[int]uint64 // guarded by mu
+	clock        func() int64   // wall ns; swappable for deterministic tests; guarded by mu
+	start        int64          // trace epoch; guarded by mu
 }
 
 // DefaultTraceCap is the default ring capacity: 1<<16 records ≈ 3 MiB,
@@ -110,8 +95,7 @@ func NewTraceBuffer(capacity int) *TraceBuffer {
 	}
 	b := &TraceBuffer{
 		recs:         make([]Record, 0, capacity),
-		openDispatch: map[uint64]uint64{},
-		openBarrier:  map[uint64]uint64{},
+		openDispatch: map[int]uint64{},
 		clock:        wallClock,
 	}
 	b.start = b.clock()
@@ -159,25 +143,25 @@ func (b *TraceBuffer) at(idx uint64) *Record {
 
 // EventDispatch implements the engine tracer hook: it opens a dispatch
 // record that EventReturn closes with the handler's wall duration.
-func (b *TraceBuffer) EventDispatch(stream, part, comp int, simNs int64) {
+func (b *TraceBuffer) EventDispatch(stream, comp int, simNs int64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	idx := b.append(Record{
-		Kind: KindDispatch, Stream: int32(stream), Part: int32(part),
+		Kind: KindDispatch, Stream: int32(stream),
 		Comp: int32(comp), Sim: simNs, WallDur: -1,
 	})
-	b.openDispatch[streamPart(stream, part)] = idx
+	b.openDispatch[stream] = idx
 }
 
-// EventReturn closes the lane's open dispatch record.
-func (b *TraceBuffer) EventReturn(stream, part int, simNs int64) {
+// EventReturn closes the stream's open dispatch record.
+func (b *TraceBuffer) EventReturn(stream int, simNs int64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	idx, ok := b.openDispatch[streamPart(stream, part)]
+	idx, ok := b.openDispatch[stream]
 	if !ok {
 		return
 	}
-	delete(b.openDispatch, streamPart(stream, part))
+	delete(b.openDispatch, stream)
 	if r := b.at(idx); r != nil && r.Kind == KindDispatch && r.WallDur < 0 {
 		r.WallDur = (b.clock() - b.start) - r.Wall
 		r.Aux = simNs
@@ -185,40 +169,13 @@ func (b *TraceBuffer) EventReturn(stream, part int, simNs int64) {
 }
 
 // EventQueued records one event being scheduled.
-func (b *TraceBuffer) EventQueued(stream, part, dst int, simNs, deliverNs int64) {
+func (b *TraceBuffer) EventQueued(stream, dst int, simNs, deliverNs int64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.append(Record{
-		Kind: KindQueued, Stream: int32(stream), Part: int32(part),
+		Kind: KindQueued, Stream: int32(stream),
 		Comp: int32(dst), Sim: simNs, Aux: deliverNs,
 	})
-}
-
-// BarrierArrive opens a barrier-wait record for the partition.
-func (b *TraceBuffer) BarrierArrive(stream, part int, windowNs int64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	idx := b.append(Record{
-		Kind: KindBarrier, Stream: int32(stream), Part: int32(part),
-		Comp: -1, Sim: windowNs, WallDur: -1,
-	})
-	b.openBarrier[streamPart(stream, part)] = idx
-}
-
-// BarrierResume closes the partition's open barrier-wait record with
-// the wall time it spent blocked.
-func (b *TraceBuffer) BarrierResume(stream, part int, windowNs int64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	idx, ok := b.openBarrier[streamPart(stream, part)]
-	if !ok {
-		return // first window: resume without a prior arrive
-	}
-	delete(b.openBarrier, streamPart(stream, part))
-	if r := b.at(idx); r != nil && r.Kind == KindBarrier && r.WallDur < 0 {
-		r.WallDur = (b.clock() - b.start) - r.Wall
-		r.Aux = windowNs
-	}
 }
 
 // Len returns the number of records currently retained.
@@ -248,90 +205,4 @@ func (b *TraceBuffer) Records() []Record {
 	copy(out, b.recs[head:])
 	copy(out[len(b.recs)-head:], b.recs[:head])
 	return out
-}
-
-// EngineTracer is the engine hook interface, restated locally (method
-// sets are identical to des.Tracer) so Tee can compose tracers without
-// importing the simulation packages.
-type EngineTracer interface {
-	EventDispatch(stream, part, comp int, simNs int64)
-	EventReturn(stream, part int, simNs int64)
-	EventQueued(stream, part, dst int, simNs, deliverNs int64)
-	BarrierArrive(stream, part int, windowNs int64)
-	BarrierResume(stream, part int, windowNs int64)
-}
-
-// AdaptiveTracer restates the adaptive parallel-engine extension hooks
-// (method set identical to des.AdaptiveTracer): per-window
-// synchronization decisions and committed rebalance passes. Collector
-// implements it; Tee forwards the hooks to any member that does.
-type AdaptiveTracer interface {
-	WindowClosed(stream, part int, windowNs, widthNs int64, localEvents, crossSent int)
-	RebalanceApplied(stream, moved int, maxBefore, maxAfter uint64)
-}
-
-// tee fans every hook out to multiple tracers.
-type tee []EngineTracer
-
-func (t tee) EventDispatch(stream, part, comp int, simNs int64) {
-	for _, x := range t {
-		x.EventDispatch(stream, part, comp, simNs)
-	}
-}
-func (t tee) EventReturn(stream, part int, simNs int64) {
-	for _, x := range t {
-		x.EventReturn(stream, part, simNs)
-	}
-}
-func (t tee) EventQueued(stream, part, dst int, simNs, deliverNs int64) {
-	for _, x := range t {
-		x.EventQueued(stream, part, dst, simNs, deliverNs)
-	}
-}
-func (t tee) BarrierArrive(stream, part int, windowNs int64) {
-	for _, x := range t {
-		x.BarrierArrive(stream, part, windowNs)
-	}
-}
-func (t tee) BarrierResume(stream, part int, windowNs int64) {
-	for _, x := range t {
-		x.BarrierResume(stream, part, windowNs)
-	}
-}
-
-// The tee always presents the adaptive extension and forwards to the
-// members that implement it, so wrapping a Collector in Tee keeps the
-// engine's one-time AdaptiveTracer detection working.
-func (t tee) WindowClosed(stream, part int, windowNs, widthNs int64, localEvents, crossSent int) {
-	for _, x := range t {
-		if a, ok := x.(AdaptiveTracer); ok {
-			a.WindowClosed(stream, part, windowNs, widthNs, localEvents, crossSent)
-		}
-	}
-}
-func (t tee) RebalanceApplied(stream, moved int, maxBefore, maxAfter uint64) {
-	for _, x := range t {
-		if a, ok := x.(AdaptiveTracer); ok {
-			a.RebalanceApplied(stream, moved, maxBefore, maxAfter)
-		}
-	}
-}
-
-// Tee combines tracers into one, skipping nils. It returns nil when
-// none remain and the sole survivor unwrapped, so callers can hand the
-// result straight to an engine's nil-guarded tracer slot.
-func Tee(tracers ...EngineTracer) EngineTracer {
-	var live tee
-	for _, t := range tracers {
-		if t != nil {
-			live = append(live, t)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	}
-	return live
 }

@@ -27,8 +27,8 @@ func newTestBuffer(capacity int) (*TraceBuffer, *fakeClock) {
 
 func TestTraceBufferDispatchPairing(t *testing.T) {
 	b, _ := newTestBuffer(16)
-	b.EventDispatch(0, 0, 7, 1000)
-	b.EventReturn(0, 0, 1000)
+	b.EventDispatch(0, 7, 1000)
+	b.EventReturn(0, 1000)
 	recs := b.Records()
 	if len(recs) != 1 {
 		t.Fatalf("got %d records, want 1", len(recs))
@@ -42,30 +42,11 @@ func TestTraceBufferDispatchPairing(t *testing.T) {
 	}
 }
 
-func TestTraceBufferBarrierPairing(t *testing.T) {
-	b, _ := newTestBuffer(16)
-	// First resume has no prior arrive and must be ignored.
-	b.BarrierResume(0, 1, 50)
-	b.BarrierArrive(0, 1, 50)
-	b.BarrierResume(0, 1, 100)
-	recs := b.Records()
-	if len(recs) != 1 {
-		t.Fatalf("got %d records, want 1", len(recs))
-	}
-	r := recs[0]
-	if r.Kind != KindBarrier || r.Part != 1 || r.Sim != 50 || r.Aux != 100 {
-		t.Fatalf("unexpected record %+v", r)
-	}
-	if r.WallDur <= 0 {
-		t.Fatalf("barrier stall not patched: %+v", r)
-	}
-}
-
 func TestTraceBufferStreamsDoNotCrossPatch(t *testing.T) {
 	b, _ := newTestBuffer(16)
-	b.EventDispatch(1, 0, 1, 10)
-	b.EventDispatch(2, 0, 2, 20)
-	b.EventReturn(1, 0, 10)
+	b.EventDispatch(1, 1, 10)
+	b.EventDispatch(2, 2, 20)
+	b.EventReturn(1, 10)
 	recs := b.Records()
 	if recs[0].WallDur <= 0 {
 		t.Fatalf("stream 1 dispatch not closed: %+v", recs[0])
@@ -78,7 +59,7 @@ func TestTraceBufferStreamsDoNotCrossPatch(t *testing.T) {
 func TestTraceBufferRingWrap(t *testing.T) {
 	b, _ := newTestBuffer(4)
 	for i := 0; i < 10; i++ {
-		b.EventQueued(0, 0, i, int64(i), int64(i+1))
+		b.EventQueued(0, i, int64(i), int64(i+1))
 	}
 	if b.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", b.Len())
@@ -97,10 +78,10 @@ func TestTraceBufferRingWrap(t *testing.T) {
 
 func TestTraceBufferWrapDoesNotPatchOverwrittenSlot(t *testing.T) {
 	b, _ := newTestBuffer(2)
-	b.EventDispatch(0, 0, 1, 10) // will be overwritten before its return
-	b.EventQueued(0, 0, 2, 20, 30)
-	b.EventQueued(0, 0, 3, 40, 50) // wraps, overwriting the dispatch
-	b.EventReturn(0, 0, 10)        // must not corrupt the queued record
+	b.EventDispatch(0, 1, 10) // will be overwritten before its return
+	b.EventQueued(0, 2, 20, 30)
+	b.EventQueued(0, 3, 40, 50) // wraps, overwriting the dispatch
+	b.EventReturn(0, 10)        // must not corrupt the queued record
 	for _, r := range b.Records() {
 		if r.Kind != KindQueued {
 			t.Fatalf("expected only queued records after wrap, got %+v", r)
@@ -108,29 +89,11 @@ func TestTraceBufferWrapDoesNotPatchOverwrittenSlot(t *testing.T) {
 	}
 }
 
-func TestTeeFansOutAndSkipsNil(t *testing.T) {
-	a, _ := newTestBuffer(8)
-	b, _ := newTestBuffer(8)
-	tr := Tee(nil, a, nil, b)
-	tr.EventQueued(0, 0, 1, 2, 3)
-	if a.Len() != 1 || b.Len() != 1 {
-		t.Fatalf("tee did not fan out: a=%d b=%d", a.Len(), b.Len())
-	}
-	if got := Tee(nil, nil); got != nil {
-		t.Fatalf("Tee of nils = %v, want nil", got)
-	}
-	if got := Tee(a); got != EngineTracer(a) {
-		t.Fatalf("Tee of one tracer should unwrap it")
-	}
-}
-
 func TestWriteChromeTrace(t *testing.T) {
 	b, _ := newTestBuffer(16)
-	b.EventDispatch(3, 1, 9, 100)
-	b.EventReturn(3, 1, 100)
-	b.EventQueued(3, 1, 4, 100, 200)
-	b.BarrierArrive(3, 0, 500)
-	b.BarrierResume(3, 0, 600)
+	b.EventDispatch(3, 9, 100)
+	b.EventReturn(3, 100)
+	b.EventQueued(3, 4, 100, 200)
 
 	var buf bytes.Buffer
 	if err := b.WriteChromeTrace(&buf); err != nil {
@@ -149,8 +112,8 @@ func TestWriteChromeTrace(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("trace is not valid JSON: %v", err)
 	}
-	if len(doc.TraceEvents) != 3 {
-		t.Fatalf("got %d trace events, want 3", len(doc.TraceEvents))
+	if len(doc.TraceEvents) != 2 {
+		t.Fatalf("got %d trace events, want 2", len(doc.TraceEvents))
 	}
 	phases := map[string]int{}
 	for _, ev := range doc.TraceEvents {
@@ -159,8 +122,8 @@ func TestWriteChromeTrace(t *testing.T) {
 			t.Fatalf("event %q has pid %d, want stream 3", ev.Name, ev.PID)
 		}
 	}
-	if phases["X"] != 2 || phases["i"] != 1 {
-		t.Fatalf("phase histogram %v, want 2 X + 1 i", phases)
+	if phases["X"] != 1 || phases["i"] != 1 {
+		t.Fatalf("phase histogram %v, want 1 X + 1 i", phases)
 	}
 }
 
@@ -171,10 +134,6 @@ func TestCollectorSnapshot(t *testing.T) {
 
 	done := c.PhaseStart("simulate")
 	c.TrialStart(0)
-	c.EventDispatch(0, 0, 1, 10)
-	c.EventDispatch(0, 1, 2, 20)
-	c.BarrierArrive(0, 1, 100)
-	c.BarrierResume(0, 1, 200)
 	c.EngineTotals(2, 5)
 	c.TrialDone(0)
 	c.PointStart(3)
@@ -187,13 +146,6 @@ func TestCollectorSnapshot(t *testing.T) {
 	}
 	if m.EventsProcessed != 2 || m.PeakQueueDepth != 5 {
 		t.Fatalf("totals %+v", m)
-	}
-	if len(m.Partitions) != 2 {
-		t.Fatalf("got %d partitions, want 2", len(m.Partitions))
-	}
-	p1 := m.Partitions[1]
-	if p1.Part != 1 || p1.Events != 1 || p1.Windows != 1 || p1.BarrierStallNs <= 0 {
-		t.Fatalf("partition 1 row %+v", p1)
 	}
 	if len(m.Trials) != 1 || m.Trials[0].Index != 0 || m.Trials[0].WallNs <= 0 {
 		t.Fatalf("trials %+v", m.Trials)
@@ -228,59 +180,6 @@ func TestWriteMetricsRoundTrip(t *testing.T) {
 func TestMetricsPath(t *testing.T) {
 	if got := MetricsPath("results", "besst-sim"); got != "results/METRICS_besst-sim.json" {
 		t.Fatalf("MetricsPath = %q", got)
-	}
-}
-
-func TestCollectorAdaptiveMetrics(t *testing.T) {
-	c := NewCollector()
-	// Partition 0: two bounded windows (widths 100 and 300) and one free
-	// drain; partition 1: cross traffic only.
-	c.WindowClosed(0, 0, 100, 100, 3, 2)
-	c.WindowClosed(0, 0, 400, 300, 1, 0)
-	c.WindowClosed(0, 0, -1, -1, 5, 1)
-	c.WindowClosed(0, 1, 400, 300, 2, 4)
-	c.RebalanceApplied(0, 3, 84, 43)
-
-	m := c.Snapshot("unit")
-	if m.EventsExchanged != 7 {
-		t.Fatalf("events exchanged = %d, want 7", m.EventsExchanged)
-	}
-	if len(m.Partitions) != 2 {
-		t.Fatalf("got %d partitions, want 2", len(m.Partitions))
-	}
-	p0 := m.Partitions[0]
-	if p0.WindowWidthMeanNs != 200 || p0.DrainWindows != 1 || p0.CrossEventsSent != 3 {
-		t.Fatalf("partition 0 adaptive row %+v, want mean 200, 1 drain, 3 cross", p0)
-	}
-	p1 := m.Partitions[1]
-	if p1.WindowWidthMeanNs != 300 || p1.DrainWindows != 0 || p1.CrossEventsSent != 4 {
-		t.Fatalf("partition 1 adaptive row %+v, want mean 300, 0 drains, 4 cross", p1)
-	}
-	if len(m.Rebalances) != 1 {
-		t.Fatalf("rebalances %+v, want one entry", m.Rebalances)
-	}
-	r := m.Rebalances[0]
-	if r.Moved != 3 || r.MaxLoadBefore != 84 || r.MaxLoadAfter != 43 {
-		t.Fatalf("rebalance entry %+v", r)
-	}
-}
-
-func TestTeeForwardsAdaptiveHooks(t *testing.T) {
-	buf, _ := newTestBuffer(8) // does not implement AdaptiveTracer
-	c := NewCollector()
-	tr := Tee(buf, c)
-	a, ok := tr.(AdaptiveTracer)
-	if !ok {
-		t.Fatal("tee of buffer+collector does not expose the adaptive extension")
-	}
-	a.WindowClosed(0, 0, 50, 25, 1, 6)
-	a.RebalanceApplied(0, 1, 10, 5)
-	m := c.Snapshot("unit")
-	if m.EventsExchanged != 6 || len(m.Rebalances) != 1 {
-		t.Fatalf("collector missed forwarded adaptive hooks: %+v", m)
-	}
-	if buf.Len() != 0 {
-		t.Fatalf("trace buffer grew %d records from adaptive hooks", buf.Len())
 	}
 }
 
