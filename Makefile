@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build test vet fmt lint lint-self lint-fixtures lint-fixtures-verify race perfbench-test bench parbench bench-parallel bench-hotpath bench-compare bench-dse profile trace-fixtures chaos fuzz serve-smoke dist-smoke dse-smoke
+.PHONY: check build test vet fmt lint lint-self lint-fixtures lint-fixtures-verify race perfbench-test bench parbench bench-parallel bench-hotpath bench-compare bench-dse profile trace-fixtures chaos fuzz serve-smoke dist-smoke
 
 # check is the tier-1 gate: formatting, static analysis (vet and
 # besst-lint, including the analyzer linting itself and its golden
@@ -8,12 +8,12 @@ GO ?= go
 # race-enabled internal test suite (the parallel tiers are only trusted
 # under -race), the perfbench module's result-digest and generator
 # tests, the observability fixtures, the campaign-resilience
-# chaos/crash suite, the simulation-service smoke gate, the
-# distributed-execution smoke gate (real worker processes, one
-# chaos-killed mid-run), the surrogate-search smoke gate (memo-warm
-# re-search must be byte-identical), and the hot-path,
-# parallel-scaling, and search-quality bench-regression gates.
-check: fmt vet lint lint-self lint-fixtures-verify build race perfbench-test trace-fixtures chaos serve-smoke dist-smoke dse-smoke bench-compare bench-parallel bench-dse
+# chaos/crash suite, the simulation-service smoke gate (quickstart
+# golden and memo-warm surrogate search), the distributed-execution
+# smoke gate (real worker processes, one chaos-killed mid-run), and the
+# hot-path, parallel-scaling, and search-quality bench-regression
+# gates.
+check: fmt vet lint lint-self lint-fixtures-verify build race perfbench-test trace-fixtures chaos serve-smoke dist-smoke bench-compare bench-parallel bench-dse
 
 build:
 	$(GO) build ./...
@@ -123,12 +123,14 @@ trace-fixtures:
 chaos:
 	$(GO) test -race ./internal/resilience -run 'Chaos|KillAndResume|Resume|Retries|Watchdog' -v
 
-# serve-smoke boots the besst-serve daemon in-process, runs the README
-# quickstart campaign twice over real HTTP, and gates on the service
-# invariants: byte-identical cold/warm result bodies, a compile-cache
-# hit on the second identical request (visible in /v1/statz), and an
-# exact match against the committed golden result document. Regenerate
-# the golden with:
+# serve-smoke boots the besst-serve daemon in-process once per smoke
+# case and runs the case's campaign twice over real HTTP. Every case
+# must give byte-identical cold/warm result bodies. The README
+# quickstart must also hit the compile cache on the second request
+# (visible in /v1/statz) and match the committed golden result
+# document exactly; the pinned surrogate search must hit the point
+# memo on its warm run and simulate less than its whole grid.
+# Regenerate the golden with:
 #   go run ./cmd/besst-serve -smoke -golden results/GOLDEN_serve_smoke.json -update-golden
 serve-smoke: build
 	$(GO) run ./cmd/besst-serve -smoke -golden results/GOLDEN_serve_smoke.json
@@ -142,13 +144,6 @@ serve-smoke: build
 # (retries > 0, workers lost > 0).
 dist-smoke: build
 	$(GO) run ./cmd/besst-worker -smoke -golden results/GOLDEN_serve_smoke.json
-
-# dse-smoke is the surrogate-search service gate: the pinned search
-# campaign runs twice against an in-process besst-serve and the target
-# fails unless the warm run hits the point memo and both result bodies
-# are byte-identical.
-dse-smoke: build
-	$(GO) run ./cmd/besst-serve -smoke-dse
 
 # fuzz runs the short corruption fuzzers: the checkpoint-journal reader
 # (torn tails, garbage lines), the AppBEO JSON decoder, and the

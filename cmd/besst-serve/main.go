@@ -41,20 +41,13 @@ func main() {
 	distReplicas := flag.Int("dist-replicas", 1, "functional-replication degree for -workers-addr")
 	memoCap := flag.Int("memo-cap", 0, "cross-campaign design-point memo capacity (0: default)")
 	memoJournal := flag.String("memo-journal", "", "append-only point-memo journal file; replayed on boot so the memo survives restarts")
-	smoke := flag.Bool("smoke", false, "run the self-contained service smoke check and exit")
-	smokeDSE := flag.Bool("smoke-dse", false, "run the surrogate-search + point-memo smoke check and exit")
+	smoke := flag.Bool("smoke", false, "run the self-contained service smoke checks (quickstart and surrogate search) and exit")
 	golden := flag.String("golden", "", "golden result document for -smoke")
 	update := flag.Bool("update-golden", false, "rewrite the -smoke golden instead of diffing")
 	flag.Parse()
 
 	if *smoke {
 		if err := serveclient.Smoke(os.Stdout, serveclient.SmokeConfig{Golden: *golden, Update: *update}); err != nil {
-			fatalf("%v", err)
-		}
-		return
-	}
-	if *smokeDSE {
-		if err := serveclient.SmokeDSE(os.Stdout); err != nil {
 			fatalf("%v", err)
 		}
 		return

@@ -138,7 +138,8 @@ type Campaign struct {
 // Report is the campaign's explicit fault provenance: the partial
 // result's caveats rather than a reason to abort.
 type Report struct {
-	// N is the campaign size, Completed how many trials have payloads
+	// N is the number of trials in scope (the campaign size; the range
+	// width for RunRange), Completed how many trials have payloads
 	// (including replayed ones), Replayed how many came from the
 	// journal.
 	N, Completed, Replayed int
@@ -182,11 +183,25 @@ type WorkFunc func(i int) (json.RawMessage, error)
 // caller, a resumed campaign's payload vector is byte-identical to an
 // uninterrupted run's.
 func (c Campaign) Run(n int, work WorkFunc) ([]json.RawMessage, Report, error) {
+	return c.RunRange(n, 0, n, work)
+}
+
+// RunRange is Run restricted to trials [lo, hi) of an n-trial campaign
+// — the slice one shard of a distributed campaign executes. The
+// returned payloads cover the range only (payloads[k] is trial lo+k),
+// and the Report counts the range's trials; indices in it stay
+// absolute. The chaos schedule and journal manifest are those of the
+// whole n-trial campaign, so a trial's fault decisions are the same in
+// every range geometry.
+func (c Campaign) RunRange(n, lo, hi int, work WorkFunc) ([]json.RawMessage, Report, error) {
 	if n <= 0 {
 		return nil, Report{}, fmt.Errorf("resilience: non-positive campaign size %d", n)
 	}
-	rep := Report{N: n, Attempts: map[int]int{}, Errors: map[int]error{}}
-	results := make([]json.RawMessage, n)
+	if lo < 0 || hi > n || lo >= hi {
+		return nil, Report{}, fmt.Errorf("resilience: range [%d, %d) outside the campaign's %d trials", lo, hi, n)
+	}
+	rep := Report{N: hi - lo, Attempts: map[int]int{}, Errors: map[int]error{}}
+	results := make([]json.RawMessage, hi-lo)
 
 	var journal *Journal
 	if c.Path != "" {
@@ -198,13 +213,13 @@ func (c Campaign) Run(n int, work WorkFunc) ([]json.RawMessage, Report, error) {
 			}
 			journal = j
 			for _, e := range entries {
-				if e.Index < 0 || e.Index >= n || e.Kind != EntryTrial {
+				if e.Index < lo || e.Index >= hi || e.Kind != EntryTrial {
 					continue // failed entries are provenance; re-run them
 				}
-				if results[e.Index] == nil {
+				if results[e.Index-lo] == nil {
 					rep.Replayed++
 				}
-				results[e.Index] = e.Payload
+				results[e.Index-lo] = e.Payload
 			}
 			if c.Collector != nil && rep.Replayed > 0 {
 				c.Collector.TrialsReplayed(rep.Replayed)
@@ -219,10 +234,10 @@ func (c Campaign) Run(n int, work WorkFunc) ([]json.RawMessage, Report, error) {
 	}
 
 	// Enumerate the missing indices in order; the pool walks this list.
-	missing := make([]int, 0, n)
-	for i := range results {
-		if results[i] == nil {
-			missing = append(missing, i)
+	missing := make([]int, 0, len(results))
+	for k := range results {
+		if results[k] == nil {
+			missing = append(missing, lo+k)
 		}
 	}
 
@@ -253,7 +268,7 @@ func (c Campaign) Run(n int, work WorkFunc) ([]json.RawMessage, Report, error) {
 			}
 			return nil
 		}
-		results[i] = payload
+		results[i-lo] = payload
 		if journal != nil {
 			return journal.Append(Entry{Kind: EntryTrial, Index: i, Attempts: attempts, Payload: payload})
 		}

@@ -298,6 +298,53 @@ func TestRunWatchdogQuarantinesHangs(t *testing.T) {
 	}
 }
 
+// TestRunRangeMatchesRun splits a chaos-injected campaign into index
+// ranges and requires the concatenated payloads and quarantined
+// indices to equal one whole-campaign run: chaos is keyed by the
+// absolute trial index, so a shard geometry never moves a fault.
+func TestRunRangeMatchesRun(t *testing.T) {
+	const n = 24
+	camp := Campaign{
+		Workers: 2,
+		Retry:   RetryPolicy{MaxAttempts: 1},
+		Chaos:   ChaosConfig{PanicRate: 0.3, Seed: 5},
+	}
+	work := fakeWork(3, n)
+	ref, refRep, err := camp.Run(n, work)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(refRep.FailedIndices) == 0 || len(refRep.FailedIndices) == n {
+		t.Fatalf("chaos schedule quarantined %d of %d trials; want some but not all", len(refRep.FailedIndices), n)
+	}
+	for _, bounds := range [][]int{{0, n}, {0, 5, n}, {0, 1, 9, 17, n}} {
+		var got []json.RawMessage
+		var failed []int
+		for k := 0; k+1 < len(bounds); k++ {
+			lo, hi := bounds[k], bounds[k+1]
+			part, rep, err := camp.RunRange(n, lo, hi, work)
+			if err != nil {
+				t.Fatalf("range [%d, %d): %v", lo, hi, err)
+			}
+			if rep.N != hi-lo || len(part) != hi-lo {
+				t.Fatalf("range [%d, %d): N=%d, %d payloads", lo, hi, rep.N, len(part))
+			}
+			got = append(got, part...)
+			failed = append(failed, rep.FailedIndices...)
+		}
+		label := fmt.Sprintf("bounds %v", bounds)
+		samePayloads(t, label, ref, got)
+		if fmt.Sprint(failed) != fmt.Sprint(refRep.FailedIndices) {
+			t.Fatalf("%s: quarantined %v, whole run quarantined %v", label, failed, refRep.FailedIndices)
+		}
+	}
+	for _, r := range [][2]int{{-1, 3}, {3, 3}, {4, 2}, {0, n + 1}} {
+		if _, _, err := camp.RunRange(n, r[0], r[1], work); err == nil {
+			t.Errorf("RunRange(%d, %d, %d) succeeded", n, r[0], r[1])
+		}
+	}
+}
+
 func TestRunRejectsNonPositiveN(t *testing.T) {
 	if _, _, err := (Campaign{}).Run(0, fakeWork(1, 1)); err == nil {
 		t.Error("Run(0) succeeded")

@@ -4,9 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 
-	"besst/internal/besst"
 	"besst/internal/dse"
-	"besst/internal/par"
 	"besst/internal/resilience"
 )
 
@@ -14,6 +12,14 @@ import (
 // everything a distributed coordinator (internal/dist) or a
 // besst-worker process needs to execute a slice of a campaign and
 // assemble the merged result, without serve ever importing them.
+//
+// There is one unit-execution path. artifacts.unitWork turns a plan
+// into a resilience.WorkFunc, and resilience.Campaign — the only
+// quarantine barrier — runs it: the server over units [0, n) with its
+// journal, retry policy and drain channel; a worker over its shard's
+// [lo, hi) with one attempt per unit, because retrying a shard is the
+// coordinator's job. A unit that panics or errors comes back as a nil
+// payload on both paths, and both vectors fold through plan.assemble.
 //
 // The determinism chain that makes sharding sound: a campaign's
 // identity is its canonical request JSON (canon.go); its master seed
@@ -129,85 +135,42 @@ func (x *ShardExecutor) ExecShard(campaignID string, request []byte, lo, hi int)
 		return nil, reject("campaign id %s does not match request hash %s", campaignID, p.ID())
 	}
 	pl := p.pl
+	if pl.searchCfg != nil {
+		// A searched sweep is adaptive: round N's shard membership
+		// depends on round N-1's results, so there is no static index
+		// space to shard. The coordinator never dispatches one; a
+		// direct request is a caller error.
+		return nil, reject("surrogate-guided sweeps are not sharded; POST them to besst-serve directly")
+	}
+	if pl.req.Kind == KindSingle {
+		return nil, reject("single campaigns are not sharded; POST them to besst-serve directly")
+	}
 	n := pl.units()
 	if lo < 0 || hi > n || lo >= hi {
 		return nil, reject("shard [%d, %d) outside the campaign's %d units", lo, hi, n)
 	}
 
-	inj := x.cfg.Chaos.NewInjector(n)
-	payloads := make([]json.RawMessage, hi-lo)
-	switch pl.req.Kind {
-	case KindMonteCarlo:
-		art, _, err := x.arts.compiled(pl)
-		if err != nil {
-			return nil, err
-		}
-		cfg := pl.runCfg
-		runner, err := art.cr.TrialRunner(pl.trials, func(dst *besst.RunConfig) { *dst = cfg })
-		if err != nil {
-			return nil, err
-		}
-		if err := forEachUnit(x.cfg.Workers, lo, hi, inj, func(i, k int) error {
-			p, perr := runner(i).Payload()
-			payloads[k] = p
-			return perr
-		}); err != nil {
-			return nil, err
-		}
-	case KindSweep:
-		if pl.searchCfg != nil {
-			// A searched sweep is adaptive: round N's shard membership
-			// depends on round N-1's results, so there is no static index
-			// space to shard. The coordinator never dispatches one; a
-			// direct request is a caller error.
-			return nil, reject("surrogate-guided sweeps are not sharded; POST them to besst-serve directly")
-		}
-		ma, _, err := x.arts.models(*pl.req.Model)
-		if err != nil {
-			return nil, err
-		}
-		prepared := dse.PrepareSweep(ma.models, ma.em.M, ma.em.Cost.Config.NodeSize, pl.sweepCfg)
-		prepared.AttachMemo(x.arts.memo, memoBundle(*pl.req.Model))
-		if err := forEachUnit(x.cfg.Workers, lo, hi, inj, func(i, k int) error {
-			p, perr := json.Marshal(prepared.EvalPoint(i))
-			payloads[k] = p
-			return perr
-		}); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, reject("%s campaigns are not sharded; POST them to besst-serve directly", pl.req.Kind)
+	work, _, err := x.arts.unitWork(pl, nil)
+	if err != nil {
+		return nil, err
 	}
-	return payloads, nil
+	payloads, _, err := x.campaign().RunRange(n, lo, hi, work)
+	return payloads, err
 }
 
-// forEachUnit runs fn(i, k) for every unit index i in [lo, hi) (k the
-// shard-local slot), injecting chaos before each unit. Attempt is
-// always 1: a worker does not retry its own units — retries belong to
-// the coordinator, which reassigns the whole shard to another worker.
-//
-// A panicking unit (a poison design point, an injected chaos panic) is
-// quarantined — its payload stays nil, which crosses the wire as JSON
-// null — rather than failing the shard. This mirrors the in-process
-// campaign runner, so local and distributed runs of the same request
-// agree on which units failed and the assembled documents stay
-// byte-identical. Panics are pure functions of (request, i), so every
+// campaign is the worker's fault envelope: chaos keyed by the absolute
+// unit index, and a single attempt per unit. A unit that fails it is
+// quarantined (a nil payload, JSON null on the wire) rather than
+// failing the shard — the same record the server's local campaign
+// writes once its retries run out, so both paths agree on which units
+// failed. Failures are pure functions of (request, i), so every
 // replica quarantines the same units and replication still converges.
-func forEachUnit(workers, lo, hi int, inj *resilience.Injector, fn func(i, k int) error) error {
-	return par.ForEachErr(workers, hi-lo, func(k int) error {
-		return runUnit(lo+k, k, inj, fn)
-	})
-}
-
-// runUnit isolates one unit behind a recover barrier.
-func runUnit(i, k int, inj *resilience.Injector, fn func(i, k int) error) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = nil // quarantined: the unit's payload stays nil
-		}
-	}()
-	inj.Inject(i, 1)
-	return fn(i, k)
+func (x *ShardExecutor) campaign() resilience.Campaign {
+	return resilience.Campaign{
+		Workers: x.cfg.Workers,
+		Chaos:   x.cfg.Chaos,
+		Retry:   resilience.RetryPolicy{MaxAttempts: 1},
+	}
 }
 
 // Statz reports the executor's compile-cache counters (the worker's

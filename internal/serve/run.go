@@ -162,119 +162,124 @@ func (s *Server) workersFor(pl *plan) int {
 	return s.cfg.Workers
 }
 
+// unitCollector is the per-unit observability a campaign's work
+// reports to: trial brackets and engine totals for runs, point brackets
+// for sweeps. *obs.Collector implements both halves.
+type unitCollector interface {
+	besst.Collector
+	dse.Collector
+}
+
+// unitWork compiles a non-search plan through the artifact cache and
+// returns its per-unit work, plus whether the compile cache already
+// held the artifact. Unit i's payload is a pure function of (plan, i)
+// — trial seeds and point seeds are pre-drawn from the master seed —
+// so the server's campaign and a worker's shard compute the same bytes
+// for the same index. col, when non-nil, receives the units' brackets;
+// it never influences results.
+//
+// A single campaign is one unit run through RunWith, which seeds from
+// the master seed itself; TrialRunner(1) would draw a different one.
+func (a *artifacts) unitWork(pl *plan, col unitCollector) (resilience.WorkFunc, bool, error) {
+	if pl.req.Kind == KindSweep {
+		cfg := pl.sweepCfg
+		cfg.Collector = col
+		prepared, hit, err := a.sweep(pl, cfg)
+		if err != nil {
+			return nil, hit, err
+		}
+		return func(i int) (json.RawMessage, error) {
+			return json.Marshal(prepared.EvalPoint(i))
+		}, hit, nil
+	}
+	art, hit, err := a.compiled(pl)
+	if err != nil {
+		return nil, hit, err
+	}
+	cfg := pl.runCfg
+	cfg.Collector = col
+	if pl.req.Kind == KindSingle {
+		return func(int) (json.RawMessage, error) {
+			return art.cr.RunWith(cfg).Payload()
+		}, hit, nil
+	}
+	runner, err := art.cr.TrialRunner(pl.trials, func(dst *besst.RunConfig) { *dst = cfg })
+	if err != nil {
+		return nil, hit, err
+	}
+	return func(i int) (json.RawMessage, error) {
+		return runner(i).Payload()
+	}, hit, nil
+}
+
+// sweep prepares a plan's sweep grid against its cached model bundle,
+// with the shared point memo attached.
+func (a *artifacts) sweep(pl *plan, cfg dse.SweepConfig) (*dse.PreparedSweep, bool, error) {
+	ma, hit, err := a.models(*pl.req.Model)
+	if err != nil {
+		return nil, hit, err
+	}
+	prepared := dse.PrepareSweep(ma.models, ma.em.M, ma.em.Cost.Config.NodeSize, cfg)
+	prepared.AttachMemo(a.memo, memoBundle(*pl.req.Model))
+	return prepared, hit, nil
+}
+
 // execute runs one admitted campaign to its result document. A nil
 // body with a nil error means the campaign was drained mid-flight
 // (state interrupted); its journal holds the completed prefix.
+//
+// Every campaign but a surrogate-guided search gets its payload vector
+// from one of two places — the distributed backend or the local
+// campaign — and folds it through the same assemble, so the two are
+// byte-identical by construction.
 func (s *Server) execute(c *campaign) (body []byte, cacheHit bool, err error) {
-	if c.plan.searchCfg != nil {
+	pl := c.plan
+	if pl.searchCfg != nil {
 		// Surrogate-guided sweeps are adaptive — each round's candidates
 		// depend on the previous round's results — so they are never
 		// sharded to a backend; the point memo recoups re-execution cost
 		// instead of a checkpoint journal.
 		return s.executeSearch(c)
 	}
-	if s.cfg.Backend != nil && c.plan.req.Kind != KindSingle {
-		return s.executeBackend(c)
-	}
-	if c.plan.req.Kind == KindSweep {
-		return s.executeSweep(c)
-	}
-	return s.executeRun(c)
-}
-
-// executeBackend hands a shardable campaign (monte_carlo or dse_sweep)
-// to the configured distributed backend and assembles the merged
-// payload vector into the result document — the exact assembly the
-// in-process paths use, so backend and local execution of one request
-// are byte-identical. Single campaigns always run locally: one run
-// cannot be sharded, and dispatching it would only add a network hop.
-func (s *Server) executeBackend(c *campaign) ([]byte, bool, error) {
-	pl := c.plan
-	payloads, rep, err := s.cfg.Backend.Run(pl.canonical, pl.units(), s.draining, c.collector)
-	if err != nil {
-		return nil, false, err
-	}
-	if payloads == nil {
-		return nil, false, nil // drained mid-campaign
-	}
-	if len(rep.Divergences) > 0 {
-		s.mu.Lock()
-		c.divergences = append([]string(nil), rep.Divergences...)
-		s.mu.Unlock()
-	}
-	body, err := pl.assemble(payloads)
-	return body, false, err
-}
-
-// executeRun handles single and monte_carlo campaigns.
-func (s *Server) executeRun(c *campaign) ([]byte, bool, error) {
-	pl := c.plan
-	art, hit, err := s.arts.compiled(pl)
-	if err != nil {
-		return nil, hit, err
-	}
-
-	cfg := pl.runCfg
-	cfg.Workers = s.workersFor(pl)
-	var col besst.Collector = c.collector
-	if s.trialPause > 0 {
-		col = pacedCollector{Collector: col, pause: s.trialPause}
-	}
-	opts := []besst.Option{
-		func(dst *besst.RunConfig) { *dst = cfg },
-		besst.WithCollector(col),
-	}
-
-	if pl.req.Kind == KindSingle {
-		if s.isDraining() {
-			return nil, hit, nil
+	var payloads []json.RawMessage
+	if s.cfg.Backend != nil && pl.req.Kind != KindSingle {
+		var rep BackendReport
+		payloads, rep, err = s.cfg.Backend.Run(pl.canonical, pl.units(), s.draining, c.collector)
+		if len(rep.Divergences) > 0 {
+			s.mu.Lock()
+			c.divergences = append([]string(nil), rep.Divergences...)
+			s.mu.Unlock()
 		}
-		res := art.cr.RunWith(besst.NewRunConfig(opts...))
-		return marshalResult(resultDoc(pl, []*besst.Result{res}, nil)), hit, nil
+	} else {
+		payloads, cacheHit, err = s.runLocal(c)
 	}
+	if err != nil || payloads == nil {
+		return nil, cacheHit, err // nil payloads: drained mid-campaign
+	}
+	body, err = pl.assemble(payloads)
+	return body, cacheHit, err
+}
 
-	camp := s.campaignFor(c)
-	results, rep, err := resilience.ReplicateResumable(art.cr, pl.trials, camp, opts...)
+// runLocal executes every unit of a campaign in process, under the
+// campaign's checkpoint journal, retry policy and drain channel. It
+// returns nil payloads when a drain left units unrun.
+func (s *Server) runLocal(c *campaign) ([]json.RawMessage, bool, error) {
+	work, hit, err := s.arts.unitWork(c.plan, c.collector)
 	if err != nil {
 		return nil, hit, err
 	}
-	if rep.Skipped > 0 {
-		return nil, hit, nil // drained; journal holds the completed prefix
-	}
-	runs := make([]*besst.Result, 0, len(results))
-	for _, r := range results {
-		if r != nil {
-			runs = append(runs, r)
+	if pause := s.trialPause; pause > 0 {
+		inner := work
+		work = func(i int) (json.RawMessage, error) {
+			time.Sleep(pause)
+			return inner(i)
 		}
 	}
-	if len(runs) == 0 {
-		return nil, hit, fmt.Errorf("serve: every trial was quarantined")
-	}
-	return marshalResult(resultDoc(pl, runs, rep.FailedIndices)), hit, nil
-}
-
-// executeSweep handles dse_sweep campaigns.
-func (s *Server) executeSweep(c *campaign) ([]byte, bool, error) {
-	pl := c.plan
-	ma, hit, err := s.arts.models(*pl.req.Model)
-	if err != nil {
+	payloads, rep, err := s.campaignFor(c).Run(c.plan.units(), work)
+	if err != nil || rep.Skipped > 0 {
 		return nil, hit, err
 	}
-	cfg := pl.sweepCfg
-	cfg.Workers = s.workersFor(pl)
-	cfg.Collector = c.collector
-
-	prepared := dse.PrepareSweep(ma.models, ma.em.M, ma.em.Cost.Config.NodeSize, cfg)
-	prepared.AttachMemo(s.arts.memo, memoBundle(*pl.req.Model))
-	camp := s.campaignFor(c)
-	cells, rep, err := resilience.SweepResumable(prepared, camp)
-	if err != nil {
-		return nil, hit, err
-	}
-	if rep.Skipped > 0 {
-		return nil, hit, nil
-	}
-	return marshalResult(sweepDoc(pl, cells, rep.FailedIndices)), hit, nil
+	return payloads, hit, nil
 }
 
 // executeSearch handles surrogate-guided dse_sweep campaigns. There is
@@ -284,16 +289,13 @@ func (s *Server) executeSweep(c *campaign) ([]byte, bool, error) {
 // completed evaluations as memo hits and re-runs only the remainder.
 func (s *Server) executeSearch(c *campaign) ([]byte, bool, error) {
 	pl := c.plan
-	ma, hit, err := s.arts.models(*pl.req.Model)
-	if err != nil {
-		return nil, hit, err
-	}
 	cfg := pl.sweepCfg
 	cfg.Workers = s.workersFor(pl)
 	cfg.Collector = c.collector
-
-	prepared := dse.PrepareSweep(ma.models, ma.em.M, ma.em.Cost.Config.NodeSize, cfg)
-	prepared.AttachMemo(s.arts.memo, memoBundle(*pl.req.Model))
+	prepared, hit, err := s.arts.sweep(pl, cfg)
+	if err != nil {
+		return nil, hit, err
+	}
 	scfg := *pl.searchCfg
 	scfg.Cancel = s.draining
 	res, err := prepared.Search(scfg)
@@ -316,18 +318,17 @@ func (s *Server) executeSearch(c *campaign) ([]byte, bool, error) {
 
 // assemble folds a complete per-unit payload vector (trial results or
 // sweep-point means, in index order) into the campaign's result
-// document. It is the merge half of distributed execution: payloads
-// computed by any process, in any shard geometry, assemble into the
-// same bytes the in-process paths produce — provided every unit is
-// present, which the distributed layer guarantees by failing the
-// campaign rather than merging holes.
+// document. Local campaigns and distributed shards both end here, so
+// payloads computed by any process, in any shard geometry, assemble
+// into the same bytes — provided every unit is present, which the
+// distributed layer guarantees by failing the campaign rather than
+// merging holes.
 //
-// A nil (wire: JSON null) payload is not a hole: it is a worker's
-// explicit record that the unit panicked and was quarantined, exactly
-// as the in-process campaign runner quarantines it. Quarantined units
-// surface as failed indices in the document — zero-mean cells for
-// sweeps, failed trials for Monte Carlo — matching the local paths'
-// resilience reports byte for byte.
+// A nil (wire: JSON null) payload is not a hole: it records that
+// resilience.Campaign quarantined the unit — locally once the retry
+// policy gave up, on a worker after its single attempt. Quarantined
+// units surface as failed indices in the document: zero-mean cells for
+// sweeps, failed trials for single and Monte Carlo campaigns.
 func (pl *plan) assemble(payloads []json.RawMessage) ([]byte, error) {
 	if want := pl.units(); len(payloads) != want {
 		return nil, fmt.Errorf("serve: assembling %d payloads for a %d-unit campaign", len(payloads), want)
@@ -414,17 +415,4 @@ func marshalResult(doc CampaignResult) []byte {
 		panic(fmt.Sprintf("serve: marshal result: %v", err))
 	}
 	return append(b, '\n')
-}
-
-// pacedCollector slows every trial bracket by a fixed pause — a test
-// hook for exercising queue backpressure and drain timing without
-// inflating campaign sizes.
-type pacedCollector struct {
-	besst.Collector
-	pause time.Duration
-}
-
-func (p pacedCollector) TrialStart(i int) {
-	time.Sleep(p.pause)
-	p.Collector.TrialStart(i)
 }

@@ -99,12 +99,16 @@ type Config struct {
 	// evicted; re-posting an evicted request simply re-admits it under
 	// the same content-addressed ID.
 	CampaignTTL time.Duration
-	// Backend, when non-nil, executes monte_carlo and dse_sweep
-	// campaigns instead of the in-process pipeline — the hook the
-	// distributed coordinator (internal/dist) plugs in behind
-	// `besst-serve -workers-addr`. Single campaigns always run
-	// in-process. Surrogate-guided sweeps always run in-process too:
-	// their rounds are adaptive and cannot be sharded.
+	// Backend, when non-nil, supplies the payload vector of
+	// monte_carlo and exhaustive dse_sweep campaigns in place of the
+	// local campaign — the hook the distributed coordinator
+	// (internal/dist) plugs in behind `besst-serve -workers-addr`.
+	// Both vectors fold through the same assemble step, and workers
+	// run their shards through the same unit work and
+	// resilience.Campaign barrier as the local path, with one attempt
+	// per unit: retries belong to the coordinator. Single campaigns and
+	// surrogate-guided sweeps always run in-process: one run cannot be
+	// sharded, and search rounds are adaptive.
 	Backend Backend
 	// Memo, when non-nil, is the cross-campaign design-point result
 	// cache every sweep campaign evaluates through — the hook the cmd
@@ -210,7 +214,7 @@ type Server struct {
 	wg        sync.WaitGroup // running campaign goroutines
 	started   time.Time
 
-	// trialPause, when positive, slows every Monte Carlo trial — a test
+	// trialPause, when positive, slows every locally run unit — a test
 	// hook for backpressure and drain-timing tests.
 	trialPause time.Duration
 }

@@ -116,8 +116,9 @@ func TestClientWatch(t *testing.T) {
 	}
 }
 
-// TestSmoke runs the self-contained smoke check (sans golden) so `go
-// test` covers the same path `make serve-smoke` gates on.
+// TestSmoke runs every smoke case — the quickstart (sans golden) and
+// the surrogate search — so `go test` covers the same path
+// `make serve-smoke` gates on.
 func TestSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("smoke boots a real listener")
@@ -126,9 +127,33 @@ func TestSmoke(t *testing.T) {
 	if err := Smoke(&buf, SmokeConfig{}); err != nil {
 		t.Fatalf("Smoke: %v\n%s", err, buf.String())
 	}
-	if !strings.Contains(buf.String(), "serve smoke OK") {
-		t.Fatalf("smoke output: %s", buf.String())
+	for _, sc := range smokeCases {
+		if !strings.Contains(buf.String(), "serve smoke "+sc.name+" OK") {
+			t.Fatalf("smoke case %s did not report OK: %s", sc.name, buf.String())
+		}
 	}
+}
+
+// TestSmokeDSE runs the surrogate-search case of the smoke table on its
+// own, so a search regression fails under its own name.
+func TestSmokeDSE(t *testing.T) {
+	if testing.Short() {
+		t.Skip("smoke boots a real listener")
+	}
+	for _, sc := range smokeCases {
+		if sc.name != "search" {
+			continue
+		}
+		var buf bytes.Buffer
+		if err := sc.run(&buf, SmokeConfig{}); err != nil {
+			t.Fatalf("search smoke: %v\n%s", err, buf.String())
+		}
+		if !strings.Contains(buf.String(), "serve smoke search OK") {
+			t.Fatalf("smoke output: %s", buf.String())
+		}
+		return
+	}
+	t.Fatal("smoke table has no search case")
 }
 
 // TestWaitBackoff scripts a status endpoint that reports running N
@@ -198,20 +223,5 @@ func TestWaitContextCancel(t *testing.T) {
 	}
 	if _, err := c.Wait(ctx, "c1", time.Millisecond); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Wait err = %v, want context.Canceled", err)
-	}
-}
-
-// TestSmokeDSE runs the surrogate-search smoke so `go test` covers the
-// same path `make dse-smoke` gates on.
-func TestSmokeDSE(t *testing.T) {
-	if testing.Short() {
-		t.Skip("smoke boots a real listener")
-	}
-	var buf bytes.Buffer
-	if err := SmokeDSE(&buf); err != nil {
-		t.Fatalf("SmokeDSE: %v\n%s", err, buf.String())
-	}
-	if !strings.Contains(buf.String(), "dse smoke OK") {
-		t.Fatalf("smoke output: %s", buf.String())
 	}
 }
