@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build test vet fmt lint lint-self lint-fixtures lint-fixtures-verify race perfbench-test bench parbench bench-parallel bench-hotpath bench-compare bench-dse profile trace-fixtures chaos fuzz serve-smoke dist-smoke
+.PHONY: check build test vet fmt lint lint-self lint-fixtures lint-fixtures-verify race perfbench-test bench bench-compare profile trace-fixtures chaos fuzz serve-smoke dist-smoke
 
 # check is the tier-1 gate: formatting, static analysis (vet and
 # besst-lint, including the analyzer linting itself and its golden
@@ -11,9 +11,8 @@ GO ?= go
 # chaos/crash suite, the simulation-service smoke gate (quickstart
 # golden and memo-warm surrogate search), the distributed-execution
 # smoke gate (real worker processes, one chaos-killed mid-run), and the
-# hot-path, parallel-scaling, and search-quality bench-regression
-# gates.
-check: fmt vet lint lint-self lint-fixtures-verify build race perfbench-test trace-fixtures chaos serve-smoke dist-smoke bench-compare bench-parallel bench-dse
+# benchmark-ledger regression gate.
+check: fmt vet lint lint-self lint-fixtures-verify build race perfbench-test trace-fixtures chaos serve-smoke dist-smoke bench-compare
 
 build:
 	$(GO) build ./...
@@ -64,51 +63,15 @@ perfbench-test:
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .
 
-# parbench regenerates results/BENCH_parallel.json (serial vs parallel
-# Monte Carlo replication and DSE sweep timings; speedup scales with
-# available cores). GOMAXPROCS
-# is pinned to >= max(4, workers) inside the harness; on machines with
-# too few CPUs the report records scaling_valid=false.
-parbench: build
-	$(GO) run ./cmd/besst-bench -parbench -workers 0
-
-# bench-parallel is the parallel-scaling regression gate: a fresh
-# parbench report (gitignored) is diffed against the committed
-# results/BENCH_parallel.json and the target fails on ns/op growth
-# beyond the tolerance, serial/parallel divergence, or — on
-# scaling-capable hardware — parallel speedup dropping below the
-# committed baseline. The parbench tiers are whole-campaign macro
-# benchmarks whose absolute timings swing >10% run-to-run on a loaded
-# shared runner (benchdiff's default), so the gate here runs at 25%:
-# wide enough to stay deterministic in `make check`, tight enough to
-# catch real regressions. The speedup floor is ratio-based and
-# unaffected by the widened ns/op band.
-bench-parallel: build
-	$(GO) run ./cmd/besst-bench -parbench -workers 0 -parbench-out results/BENCH_parallel_fresh.json
-	$(GO) run ./cmd/benchdiff -parallel -tol 25
-
-# bench-hotpath regenerates results/BENCH_hotpath.json, the
-# allocation-sensitive hot-path measurements (raw DES dispatch plus the
-# Monte Carlo and DSE macro tiers). The file is gitignored; commit its
-# contents to results/BENCH_hotpath_baseline.json to move the gate.
-bench-hotpath: build
-	$(GO) run ./cmd/besst-bench -hotpath
-
-# bench-compare is the bench-regression gate: fresh hot-path numbers
-# are diffed against the committed baseline and the target fails on
-# >10% ns/op growth or ANY allocs/op growth.
-bench-compare: bench-hotpath
-	$(GO) run ./cmd/benchdiff
-
-# bench-dse is the surrogate-search quality gate: a fresh search run on
-# a small grid (gitignored report) is diffed against the committed
-# results/BENCH_dse_baseline.json and the target fails when the search
-# fully simulates more points than the baseline, the optimality gap vs
-# the exhaustive sweep grows past the slack, or a memo-warm re-search
-# stops reproducing the cold result byte-for-byte.
-bench-dse: build
-	$(GO) run ./cmd/besst-bench -dse
-	$(GO) run ./cmd/benchdiff -dse
+# bench-compare is the benchmark-ledger gate: besst-bench -ledger runs
+# every registry entry in internal/ledger once, writes the gitignored
+# results/BENCH.json, and fails on any regression against the committed
+# results/BENCH_baseline.json: ns/op beyond +10%, any allocs/op growth,
+# more full simulations or a wider optimality gap (+0.5 points) from
+# the surrogate search, a memo-warm re-search that misses the memo or
+# stops reproducing the cold result bytes, or a missing entry.
+bench-compare: build
+	$(GO) run ./cmd/besst-bench -ledger
 
 # trace-fixtures runs the observability golden fixtures: trace-buffer
 # pairing, Chrome trace and metrics document round-trips, and the
@@ -146,12 +109,15 @@ dist-smoke: build
 	$(GO) run ./cmd/besst-worker -smoke -golden results/GOLDEN_serve_smoke.json
 
 # fuzz runs the short corruption fuzzers: the checkpoint-journal reader
-# (torn tails, garbage lines), the AppBEO JSON decoder, and the
-# symbolic-regression model decoder (accepted models must Predict).
+# (torn tails, garbage lines), the AppBEO JSON decoder, the
+# symbolic-regression model decoder (accepted models must Predict), and
+# the serve request canonicalizer (canonical forms are fixed points and
+# hash to the input's campaign ID).
 fuzz:
 	$(GO) test ./internal/resilience -run xxx -fuzz FuzzReadJournal -fuzztime 20s
 	$(GO) test ./internal/beo -run xxx -fuzz FuzzAppBEOJSON -fuzztime 20s
 	$(GO) test ./internal/symreg -run xxx -fuzz FuzzFittedJSON -fuzztime 20s
+	$(GO) test ./internal/serve -run xxx -fuzz FuzzCanonicalJSON -fuzztime 20s
 
 # profile captures a full observability bundle from a small DES run:
 # CPU and heap profiles, a Chrome trace, and the run-metrics document,

@@ -10,19 +10,18 @@
 package bench
 
 import (
-	"runtime"
 	"sync"
 	"testing"
 
 	"besst/internal/benchdata"
 	"besst/internal/beo"
 	"besst/internal/besst"
-	"besst/internal/des"
 	"besst/internal/dse"
 	"besst/internal/erasure"
 	"besst/internal/exp"
 	"besst/internal/fti"
 	"besst/internal/groundtruth"
+	"besst/internal/ledger"
 	"besst/internal/lulesh"
 	"besst/internal/netsim"
 	"besst/internal/network"
@@ -268,35 +267,14 @@ func BenchmarkAblationDESvsDirect(b *testing.B) {
 	}
 }
 
-// BenchmarkDESDispatch measures the raw DES event hot path — schedule,
-// queue, dispatch — with a near-empty handler, so the number is the
-// engine's per-event overhead rather than model-poll cost. One op is
-// one delivered event.
-func BenchmarkDESDispatch(b *testing.B) {
-	const ringNodes = 64
-	b.Run("sequential", func(b *testing.B) {
-		e := des.NewEngine()
-		ids := make([]des.ComponentID, ringNodes)
-		for i := range ids {
-			ids[i] = e.Register(lightHop{})
+// BenchmarkLedger times every timing entry of the benchmark ledger, the
+// same bodies `besst-bench -ledger` gates against the committed
+// baseline.
+func BenchmarkLedger(b *testing.B) {
+	for _, e := range ledger.Registry {
+		if e.Bench != nil {
+			b.Run(e.Name, e.Bench)
 		}
-		for i := range ids {
-			e.Connect(ids[i], "next", ids[(i+1)%ringNodes], "next", 1)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		e.ScheduleAt(0, ids[0], des.Payload{A: int64(b.N)})
-		e.Run(0)
-	})
-}
-
-// lightHop forwards a decrementing counter around its ring with no
-// synthetic handler work: the benchmark time is engine overhead.
-type lightHop struct{}
-
-func (lightHop) HandleEvent(ctx *des.Context, ev des.Event) {
-	if n := ev.Payload.A; n > 0 {
-		ctx.Send("next", 0, des.Payload{A: n - 1})
 	}
 }
 
@@ -488,35 +466,6 @@ func BenchmarkExtAlgorithmicDSE(b *testing.B) {
 	b.ReportMetric(float64(abftWins), "abftWins")
 }
 
-// BenchmarkMonteCarloDirect measures the Monte Carlo replication tier
-// over one compiled Direct-mode run: the serial reference against the
-// deterministic worker pool at GOMAXPROCS. Both variants return
-// byte-identical makespan vectors; the speedup scales with cores.
-func BenchmarkMonteCarloDirect(b *testing.B) {
-	c := sharedCtx(b)
-	cfg := c.Quartz.Cost.Config
-	app := lulesh.App(15, 216, 60, lulesh.ScenarioL1L2, cfg)
-	arch := beo.NewArchBEO(c.Quartz.M, cfg.NodeSize)
-	workflow.BindLulesh(arch, c.Models)
-	cr := besst.Compile(app, arch)
-	opts := []besst.Option{
-		besst.WithMode(besst.Direct), besst.WithPerRankNoise(true), besst.WithSeed(42),
-	}
-	const mcN = 32
-	for _, bc := range []struct {
-		name    string
-		workers int
-	}{{"serial", 1}, {"parallel", runtime.GOMAXPROCS(0)}} {
-		runOpts := append(opts[:len(opts):len(opts)], besst.WithConcurrency(bc.workers))
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				cr.Replicate(mcN, runOpts...)
-			}
-		})
-	}
-}
-
 // BenchmarkTracingOverhead measures the observability hooks on the DES
 // engine path: "off" is the nil-guarded default (the <2% overhead
 // gate), "recording" runs the same replication with a TraceBuffer and
@@ -549,33 +498,6 @@ func BenchmarkTracingOverhead(b *testing.B) {
 			cr.Replicate(mcN, tracedOpts...)
 		}
 	})
-}
-
-// BenchmarkOverheadSweep measures the DSE sweep tier: the full grid
-// evaluated serially against the cell-level worker pool at GOMAXPROCS,
-// with identical cells either way (pre-assigned per-point seeds).
-func BenchmarkOverheadSweep(b *testing.B) {
-	c := sharedCtx(b)
-	cfg := dse.SweepConfig{
-		EPRs:      []int{10, 15},
-		Ranks:     []int{8, 64},
-		Scenarios: []lulesh.Scenario{lulesh.ScenarioNoFT, lulesh.ScenarioL1, lulesh.ScenarioL1L2},
-		Timesteps: 40,
-		MCRuns:    3,
-		Seed:      43,
-	}
-	for _, bc := range []struct {
-		name    string
-		workers int
-	}{{"serial", 1}, {"parallel", runtime.GOMAXPROCS(0)}} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			cfg.Workers = bc.workers
-			for i := 0; i < b.N; i++ {
-				dse.OverheadSweep(c.Models, c.Quartz.M, c.Quartz.Cost.Config.NodeSize, cfg)
-			}
-		})
-	}
 }
 
 // BenchmarkExtArchitecturalDSE regenerates the hardware-variant DSE

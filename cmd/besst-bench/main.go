@@ -4,9 +4,14 @@
 // emulated Quartz and writes the samples as CSV (stdout or -o file,
 // JSON with -json) for besst-model to fit.
 //
+// With -ledger it instead runs the benchmark ledger (internal/ledger):
+// every gated benchmark, once. It writes results/BENCH.json, compares
+// it with the committed results/BENCH_baseline.json under the ledger's
+// fixed rules, and exits nonzero on any regression.
+//
 //	besst-bench -samples 10 -o campaign.csv
 //	besst-bench -machine vulcan -app cmtbone -o cmt.csv
-//	besst-bench -parbench -cpuprofile results/bench.pprof
+//	besst-bench -ledger -cpuprofile results/bench.pprof
 package main
 
 import (
@@ -14,6 +19,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -21,6 +28,7 @@ import (
 	"besst/internal/cli"
 	"besst/internal/fti"
 	"besst/internal/groundtruth"
+	"besst/internal/ledger"
 )
 
 func parseIntList(s string) ([]int, error) {
@@ -43,13 +51,7 @@ func main() {
 	levels := flag.String("levels", "1,2", "FTI checkpoint levels to benchmark (lulesh only)")
 	samples := flag.Int("samples", 10, "timing samples per parameter combination")
 	out := flag.String("o", "", "output path (default stdout)")
-	parbench := flag.Bool("parbench", false, "run the serial-vs-parallel simulator benchmark harness and write JSON instead of collecting a campaign")
-	parbenchOut := flag.String("parbench-out", "results/BENCH_parallel.json", "output path for -parbench")
-	hotpath := flag.Bool("hotpath", false, "run the allocation-sensitive hot-path benchmark harness and write JSON instead of collecting a campaign")
-	hotpathOut := flag.String("hotpath-out", "results/BENCH_hotpath.json", "output path for -hotpath")
-	hotpathPre := flag.String("hotpath-prepr", "results/BENCH_hotpath_prepr.json", "committed pre-optimization snapshot to report improvement factors against")
-	dseBench := flag.Bool("dse", false, "run the surrogate-search quality harness (optimality gap vs exhaustive truth, memo warm/cold identity) and write JSON instead of collecting a campaign")
-	dseOut := flag.String("dse-out", "results/BENCH_dse.json", "output path for -dse")
+	ledgerRun := flag.Bool("ledger", false, "run the benchmark ledger, write "+ledgerOut+" and gate it against "+ledgerBaseline+" instead of collecting a campaign")
 	// -workers keeps its historical default of 1: any other value
 	// selects the per-combination seeded parallel campaign collector.
 	common := cli.RegisterCommon(flag.CommandLine, 1)
@@ -60,21 +62,12 @@ func main() {
 		fatalf("%v", err)
 	}
 
-	if *parbench {
-		runParBench(*parbenchOut, common.Workers, common.Seed)
+	if *ledgerRun {
+		ok := runLedger()
 		closeSession(ses)
-		return
-	}
-
-	if *hotpath {
-		runHotpath(*hotpathOut, *hotpathPre)
-		closeSession(ses)
-		return
-	}
-
-	if *dseBench {
-		runDSEBench(*dseOut, common.Workers)
-		closeSession(ses)
+		if !ok {
+			os.Exit(1)
+		}
 		return
 	}
 
@@ -156,6 +149,54 @@ func main() {
 	closeSession(ses)
 	fmt.Fprintf(os.Stderr, "collected %d samples across %d ops on %s\n",
 		len(campaign.Samples), len(campaign.Ops()), em.M.Name)
+}
+
+const (
+	ledgerOut      = "results/BENCH.json"
+	ledgerBaseline = "results/BENCH_baseline.json"
+)
+
+// runLedger runs the registry, writes the fresh report and reports
+// whether it passes every rule against the committed baseline.
+func runLedger() bool {
+	base, err := ledger.Load(ledgerBaseline)
+	if err != nil {
+		fatalf("load baseline: %v", err)
+	}
+	fmt.Fprintf(os.Stderr, "besst-bench: ledger of %d entries (GOMAXPROCS %d, %d CPUs)\n",
+		len(ledger.Registry), runtime.GOMAXPROCS(0), runtime.NumCPU())
+	cur, err := ledger.Run()
+	if err != nil {
+		fatalf("ledger: %v", err)
+	}
+	data, err := json.MarshalIndent(cur, "", "  ")
+	if err != nil {
+		fatalf("marshal report: %v", err)
+	}
+	if err := os.WriteFile(ledgerOut, append(data, '\n'), 0o644); err != nil {
+		fatalf("write %s: %v", ledgerOut, err)
+	}
+	for _, e := range cur.Entries {
+		bm, _ := base.Lookup(e.Name)
+		names := make([]string, 0, len(e.Metrics))
+		for m := range e.Metrics {
+			names = append(names, m)
+		}
+		sort.Strings(names)
+		for _, m := range names {
+			was := "-"
+			if v, ok := bm[m]; ok {
+				was = ledger.Num(v)
+			}
+			fmt.Fprintf(os.Stderr, "  %-30s %-15s %12s -> %s\n", e.Name, m, was, ledger.Num(e.Metrics[m]))
+		}
+	}
+	regs := ledger.Compare(cur, base)
+	for _, r := range regs {
+		fmt.Fprintf(os.Stderr, "besst-bench: REGRESSION: %s\n", r)
+	}
+	fmt.Fprintf(os.Stderr, "besst-bench: wrote %s; %d regressions vs %s\n", ledgerOut, len(regs), ledgerBaseline)
+	return len(regs) == 0
 }
 
 // closeSession flushes the observability session (profiles, metrics).

@@ -237,37 +237,6 @@ func (e *Emulator) FullRunInto(cum []float64, epr, ranks, timesteps int, sc lule
 	return cum
 }
 
-// CGIterationMean returns the mean cost of one miniCG iteration for a
-// local grid size n and rank count: a memory-bound 27-point SpMV plus
-// vector updates. CG is bandwidth-limited, so the per-row cost is set
-// by sustained memory bandwidth (approximated from the compute rate),
-// with the same scale-jitter amplification as other kernels.
-func (e *Emulator) CGIterationMean(n, ranks int) float64 {
-	rows := float64(minicgRows(n))
-	// 27 nonzeros x 16 bytes (value+index) + 5 vector touches x 8B.
-	bytesPerRow := 27.0*16 + 5*8
-	memBW := e.M.CoreGFLOPS * 1e9 / 2 // bytes/s, DRAM-bound estimate
-	iter := rows * bytesPerRow / memBW
-	if ranks > 1 {
-		iter *= 1 + e.JitterPerLog2Ranks*log2(float64(ranks))
-	}
-	halo := e.net.NearestNeighbor(6, int64(n)*int64(n)*8)
-	return iter + halo
-}
-
-func minicgRows(n int) int64 {
-	if n <= 0 {
-		panic("groundtruth: non-positive CG problem size")
-	}
-	v := int64(n)
-	return v * v * v
-}
-
-// MeasureCGIteration draws one noisy miniCG iteration measurement.
-func (e *Emulator) MeasureCGIteration(n, ranks int, rng *stats.RNG) float64 {
-	return e.CGIterationMean(n, ranks) * rng.LogNormal(0, e.TimestepSigma)
-}
-
 // CmtTimestepMean returns the mean CMT-bone timestep cost for a
 // problem size (elements per rank) and rank count.
 func (e *Emulator) CmtTimestepMean(psize, ranks int) float64 {

@@ -222,23 +222,3 @@ func TestABFTTimestepOverhead(t *testing.T) {
 		t.Fatal("measurement should be positive")
 	}
 }
-
-func TestCGIterationProfile(t *testing.T) {
-	e := NewQuartz()
-	// Cost grows cubically with the local grid size.
-	small := e.CGIterationMean(8, 64)
-	big := e.CGIterationMean(16, 64)
-	if big < 6*small {
-		t.Fatalf("CG iteration scaling too weak: %v -> %v", small, big)
-	}
-	rng := stats.NewRNG(6)
-	if e.MeasureCGIteration(8, 64, rng) <= 0 {
-		t.Fatal("measurement should be positive")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for n<=0")
-		}
-	}()
-	e.CGIterationMean(0, 8)
-}

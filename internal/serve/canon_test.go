@@ -7,21 +7,24 @@ import (
 	"testing"
 )
 
+// canonCases are spellings and their canonical forms; they also seed
+// FuzzCanonicalJSON.
+var canonCases = []struct{ name, in, want string }{
+	{"sorted keys", `{"b":2,"a":1}`, `{"a":1,"b":2}`},
+	{"whitespace", "{\n  \"a\": 1 ,\t\"b\": [ 1 , 2 ]\n}", `{"a":1,"b":[1,2]}`},
+	{"float spelling of int", `{"x":1.0}`, `{"x":1}`},
+	{"exponent spelling", `{"x":1e0}`, `{"x":1}`},
+	{"negative zero int", `{"x":-0}`, `{"x":0}`},
+	{"negative zero float", `{"x":-0.0}`, `{"x":0}`},
+	{"fraction spellings", `{"x":5e-1}`, `{"x":0.5}`},
+	{"big int preserved", `{"x":100000000000000000001}`, `{"x":100000000000000000001}`},
+	{"escape spelling", `{"x":"A"}`, `{"x":"A"}`},
+	{"nested", `{"b":{"d":4,"c":3},"a":[{"y":2.0,"x":1}]}`, `{"a":[{"x":1,"y":2}],"b":{"c":3,"d":4}}`},
+	{"scalars", `[true,false,null,"s"]`, `[true,false,null,"s"]`},
+}
+
 func TestCanonicalJSONNormalizes(t *testing.T) {
-	cases := []struct{ name, in, want string }{
-		{"sorted keys", `{"b":2,"a":1}`, `{"a":1,"b":2}`},
-		{"whitespace", "{\n  \"a\": 1 ,\t\"b\": [ 1 , 2 ]\n}", `{"a":1,"b":[1,2]}`},
-		{"float spelling of int", `{"x":1.0}`, `{"x":1}`},
-		{"exponent spelling", `{"x":1e0}`, `{"x":1}`},
-		{"negative zero int", `{"x":-0}`, `{"x":0}`},
-		{"negative zero float", `{"x":-0.0}`, `{"x":0}`},
-		{"fraction spellings", `{"x":5e-1}`, `{"x":0.5}`},
-		{"big int preserved", `{"x":100000000000000000001}`, `{"x":100000000000000000001}`},
-		{"escape spelling", `{"x":"A"}`, `{"x":"A"}`},
-		{"nested", `{"b":{"d":4,"c":3},"a":[{"y":2.0,"x":1}]}`, `{"a":[{"x":1,"y":2}],"b":{"c":3,"d":4}}`},
-		{"scalars", `[true,false,null,"s"]`, `[true,false,null,"s"]`},
-	}
-	for _, tc := range cases {
+	for _, tc := range canonCases {
 		got, err := CanonicalJSON([]byte(tc.in))
 		if err != nil {
 			t.Fatalf("%s: CanonicalJSON(%q): %v", tc.name, tc.in, err)
@@ -30,6 +33,41 @@ func TestCanonicalJSONNormalizes(t *testing.T) {
 			t.Errorf("%s: CanonicalJSON(%q) = %q, want %q", tc.name, tc.in, got, tc.want)
 		}
 	}
+}
+
+// FuzzCanonicalJSON drives arbitrary bytes through the request
+// canonicalizer. Properties: it never panics, the canonical form of
+// any accepted input is itself accepted and is a fixed point
+// (CanonicalJSON(c) == c), and HashRequest gives the input and its
+// canonical form the same campaign ID.
+func FuzzCanonicalJSON(f *testing.F) {
+	for _, tc := range canonCases {
+		f.Add([]byte(tc.in))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		c, err := CanonicalJSON(raw)
+		if err != nil {
+			return
+		}
+		again, err := CanonicalJSON(c)
+		if err != nil {
+			t.Fatalf("canonical form %q of %q rejected: %v", c, raw, err)
+		}
+		if !bytes.Equal(again, c) {
+			t.Fatalf("not idempotent: %q -> %q -> %q", raw, c, again)
+		}
+		idRaw, _, _, err := HashRequest(raw)
+		if err != nil {
+			t.Fatalf("HashRequest(%q): %v", raw, err)
+		}
+		idCanon, _, _, err := HashRequest(c)
+		if err != nil {
+			t.Fatalf("HashRequest(%q): %v", c, err)
+		}
+		if idRaw != idCanon {
+			t.Fatalf("input %q and its canonical form %q hash to %s and %s", raw, c, idRaw, idCanon)
+		}
+	})
 }
 
 func TestCanonicalJSONRejectsGarbage(t *testing.T) {
