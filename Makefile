@@ -1,18 +1,19 @@
 GO ?= go
 
-.PHONY: check build test vet fmt lint lint-self lint-fixtures lint-fixtures-verify race perfbench-test bench bench-compare profile trace-fixtures chaos fuzz serve-smoke dist-smoke
+.PHONY: check build test vet fmt lint lint-self lint-fixtures lint-fixtures-verify race perfbench-test exp-verify bench bench-compare profile trace-fixtures chaos fuzz serve-smoke dist-smoke
 
 # check is the tier-1 gate: formatting, static analysis (vet and
 # besst-lint, including the analyzer linting itself and its golden
 # fixtures verified against the committed tree), build, the
 # race-enabled internal test suite (the parallel tiers are only trusted
 # under -race), the perfbench module's result-digest and generator
-# tests, the observability fixtures, the campaign-resilience
-# chaos/crash suite, the simulation-service smoke gate (quickstart
-# golden and memo-warm surrogate search), the distributed-execution
-# smoke gate (real worker processes, one chaos-killed mid-run), and the
-# benchmark-ledger regression gate.
-check: fmt vet lint lint-self lint-fixtures-verify build race perfbench-test trace-fixtures chaos serve-smoke dist-smoke bench-compare
+# tests, the full paper-experiment output against its archive, the
+# observability fixtures, the campaign-resilience chaos/crash suite, the
+# simulation-service smoke gate (quickstart golden and memo-warm
+# surrogate search), the distributed-execution smoke gate (real worker
+# processes, one chaos-killed mid-run), and the benchmark-ledger
+# regression gate.
+check: fmt vet lint lint-self lint-fixtures-verify build race perfbench-test exp-verify trace-fixtures chaos serve-smoke dist-smoke bench-compare
 
 build:
 	$(GO) build ./...
@@ -59,6 +60,16 @@ race:
 # so a refactor that drifts any result fails here.
 perfbench-test:
 	cd perfbench && $(GO) test ./...
+
+# exp-verify is the byte-identity gate over the paper reproduction:
+# besst-exp at full settings (every table, Figs 1 and 5-9, and the
+# extensions) must print exactly the archived results/besst-exp-full.txt.
+# The output does not depend on GOMAXPROCS. After a deliberate result
+# change, regenerate the archive with:
+#   go run ./cmd/besst-exp > results/besst-exp-full.txt
+exp-verify: build
+	@out="$$(mktemp)"; trap 'rm -f "$$out"' EXIT; \
+	$(GO) run ./cmd/besst-exp > "$$out" && cmp "$$out" results/besst-exp-full.txt
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .

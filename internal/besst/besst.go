@@ -166,8 +166,7 @@ func compile(app *beo.AppBEO) []cinstr {
 }
 
 // commCost returns the deterministic network cost of a communication
-// instruction for `ranks` participants, using a shared network model
-// (its topology-diameter cache makes repeated collective costs cheap).
+// instruction for `ranks` participants.
 func commCost(net *network.Model, c cinstr, ranks int) float64 {
 	switch c.pattern {
 	case beo.Barrier:
@@ -189,22 +188,20 @@ func commCost(net *network.Model, c cinstr, ranks int) float64 {
 
 // CompiledRun caches everything that is invariant across replications
 // of one (app, arch) pair: validation, the flattened instruction list
-// with its model bindings resolved, the shared network cost model
-// (whose topology-diameter cache is expensive to warm), and the exact
+// with its model bindings and network costs resolved, and the exact
 // result-series lengths so per-trial slices are allocated once at full
 // capacity instead of growing step by step.
 //
 // Compiling also forces every lazy model state (interpolation-table
-// rebuilds, the network diameter) to materialize while still
-// single-threaded, so concurrent replications only ever perform pure
-// reads on the shared structures. A CompiledRun is therefore safe for
-// use from multiple goroutines, provided the app, arch, and bound
-// models are not mutated after Compile.
+// rebuilds) to materialize while still single-threaded, so concurrent
+// replications only ever perform pure reads on the shared structures.
+// A CompiledRun is therefore safe for use from multiple goroutines,
+// provided the app, arch, and bound models are not mutated after
+// Compile.
 type CompiledRun struct {
 	app   *beo.AppBEO
 	arch  *beo.ArchBEO
 	prog  []cinstr
-	net   *network.Model
 	steps int // number of ckStepEnd markers per run
 	ckpts int // number of ckCkpt instances per run
 
@@ -244,8 +241,8 @@ func newCompiledRun(app *beo.AppBEO, arch *beo.ArchBEO) *CompiledRun {
 		app:  app,
 		arch: arch,
 		prog: compile(app),
-		net:  arch.Machine.Network(),
 	}
+	net := arch.Machine.Network()
 	// Loop expansion repeats the same (op, params) pair once per
 	// iteration — often hundreds of copies sharing one params map — and
 	// table-model Predict allocates interpolation scratch per call, so
@@ -276,7 +273,7 @@ func newCompiledRun(app *beo.AppBEO, arch *beo.ArchBEO) *CompiledRun {
 				cr.ckpts++
 			}
 		case ckComm:
-			c.detCost = commCost(cr.net, *c, app.Ranks)
+			c.detCost = commCost(net, *c, app.Ranks)
 		case ckStepEnd:
 			cr.steps++
 		}
@@ -291,8 +288,6 @@ func newCompiledRun(app *beo.AppBEO, arch *beo.ArchBEO) *CompiledRun {
 	for r := range cr.ports {
 		cr.ports[r] = rankPort(r)
 	}
-	// Warm the diameter cache backing every collective cost.
-	cr.net.Barrier(2)
 	return cr
 }
 

@@ -27,7 +27,7 @@ import (
 type Emulator struct {
 	M    *machine.Machine
 	Cost *fti.CostModel
-	net  *network.Model // cached cost model (topology diameter is expensive)
+	net  *network.Model // M's fabric, for halo and allreduce costs
 
 	// TimestepSigma and CkptSigma are the log-normal noise levels of
 	// compute blocks and checkpoint instances. Checkpointing is far
@@ -186,6 +186,12 @@ const MaxRankDraws = 65536
 // The same semantics are used by the BE-SST simulator so that model
 // error, not synchronization-semantics mismatch, dominates validation
 // error.
+//
+// Each draw is LogNormal(0, sigma) = exp(Normal(0, sigma)), and exp is
+// monotone, so the maximum is taken over the normal draws and
+// exponentiated once: the same draws in the same order, the same bits
+// as exponentiating every draw. A NaN draw never wins: with a NaN sigma
+// the maximum stays -Inf and the step costs mean*0.
 func StepMax(mean, sigma float64, ranks int, rng *stats.RNG) float64 {
 	n := ranks
 	if n > MaxRankDraws {
@@ -194,13 +200,13 @@ func StepMax(mean, sigma float64, ranks int, rng *stats.RNG) float64 {
 	if n < 1 {
 		n = 1
 	}
-	worst := 0.0
+	worst := math.Inf(-1)
 	for i := 0; i < n; i++ {
-		if v := rng.LogNormal(0, sigma); v > worst {
+		if v := rng.Normal(0, sigma); v > worst {
 			worst = v
 		}
 	}
-	return mean * worst
+	return mean * math.Exp(worst)
 }
 
 // FullRun executes a complete LULESH+FTI run "on the machine",

@@ -1,6 +1,7 @@
 package groundtruth
 
 import (
+	"math"
 	"testing"
 
 	"besst/internal/fti"
@@ -220,5 +221,47 @@ func TestABFTTimestepOverhead(t *testing.T) {
 	rng := stats.NewRNG(1)
 	if e.MeasureLuleshTimestepABFT(10, 64, rng) <= 0 {
 		t.Fatal("measurement should be positive")
+	}
+}
+
+// stepMaxPerDraw is the reference StepMax: exponentiate every rank's
+// draw and keep the largest, from a floor of 0.
+func stepMaxPerDraw(mean, sigma float64, ranks int, rng *stats.RNG) float64 {
+	n := min(max(ranks, 1), MaxRankDraws)
+	worst := 0.0
+	for i := 0; i < n; i++ {
+		if v := rng.LogNormal(0, sigma); v > worst {
+			worst = v
+		}
+	}
+	return mean * worst
+}
+
+// TestStepMaxMatchesPerDrawExp pins StepMax's single exp of the largest
+// normal draw to the per-draw reference bit for bit, including the NaN
+// and infinite sigmas, and checks both consume the same draws.
+func TestStepMaxMatchesPerDrawExp(t *testing.T) {
+	sigmas := []float64{0, 1e-9, 1e-6, 1e-3, 0.01, 0.05, 0.1, 0.12, 0.5, 1, 2, 3, math.NaN(), math.Inf(1)}
+	ranks := []int{1, 8, 64, 216, MaxRankDraws + 1000}
+	for _, sigma := range sigmas {
+		for _, r := range ranks {
+			seed := uint64(r)*1000003 + math.Float64bits(sigma)
+			got, want := stats.NewRNG(seed), stats.NewRNG(seed)
+			reps := 40
+			if r > MaxRankDraws {
+				reps = 2
+			}
+			for rep := 0; rep < reps; rep++ {
+				g := StepMax(1.7, sigma, r, got)
+				w := stepMaxPerDraw(1.7, sigma, r, want)
+				if math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("sigma %g ranks %d rep %d: StepMax = %v (%#x), per-draw = %v (%#x)",
+						sigma, r, rep, g, math.Float64bits(g), w, math.Float64bits(w))
+				}
+			}
+			if got.Uint64() != want.Uint64() {
+				t.Fatalf("sigma %g ranks %d: StepMax consumed a different number of draws", sigma, r)
+			}
+		}
 	}
 }

@@ -125,3 +125,21 @@ func TestNotionalPanicsOnBadCount(t *testing.T) {
 	}()
 	Notional(Quartz(), -1, 0)
 }
+
+// TestDiameterMatchesMaxHops pins every machine builder's topology
+// diameter to a MaxHops scan of the same topology, so the collective
+// costs the network model derives from Diameter (and every figure built
+// on them) match the scanned value.
+func TestDiameterMatchesMaxHops(t *testing.T) {
+	q, v := Quartz(), Vulcan()
+	machines := []*Machine{
+		q, v,
+		Notional(q, 1, 0), Notional(q, 20, 0), Notional(q, 5000, 0), Notional(q, 65536, 0),
+		Notional(v, 30000, 0), Notional(v, 65536, 0),
+	}
+	for _, m := range machines {
+		if got, want := m.Topology.Diameter(), topo.MaxHops(m.Topology); got != want {
+			t.Errorf("%s (%s): Diameter = %d, MaxHops = %d", m.Name, m.Topology.Name(), got, want)
+		}
+	}
+}

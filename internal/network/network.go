@@ -12,7 +12,6 @@ package network
 
 import (
 	"math"
-	"sync"
 
 	"besst/internal/topo"
 )
@@ -44,9 +43,6 @@ func (p Params) Validate() {
 type Model struct {
 	Topo   topo.Topology
 	Params Params
-
-	diamOnce sync.Once
-	diameter int
 }
 
 // New returns a Model after validating params.
@@ -130,11 +126,9 @@ func log2ceil(p int) int {
 
 // avgStage approximates the per-stage neighbor distance of a
 // recursive-doubling exchange on this topology: half the diameter is a
-// serviceable coarse bound. The diameter is computed once per model —
-// it dominates collective-cost evaluation otherwise.
+// serviceable coarse bound.
 func (m *Model) avgStage() float64 {
-	m.diamOnce.Do(func() { m.diameter = topo.MaxHops(m.Topo) })
-	return m.Params.InjectionOverhead + float64(m.diameter)/2*m.Params.HopLatency
+	return m.Params.InjectionOverhead + float64(m.Topo.Diameter())/2*m.Params.HopLatency
 }
 
 // Barrier returns the time in seconds of a dissemination barrier across

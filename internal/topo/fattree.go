@@ -77,6 +77,21 @@ func (t *FatTree) Hops(a, b int) int {
 	}
 }
 
+// Diameter implements Topology in closed form: 0 for a single node, 2
+// when every node hangs off one edge switch, 4 otherwise. MaxHops
+// returns the same on every shape: past 256 nodes its stride sample
+// still pairs node 0 with a node on another edge switch.
+func (t *FatTree) Diameter() int {
+	switch {
+	case t.Nodes() == 1:
+		return 0
+	case t.edges == 1:
+		return 2
+	default:
+		return 4
+	}
+}
+
 // Route implements Topology.
 func (t *FatTree) Route(a, b int) []LinkID {
 	checkNode(t, a)

@@ -27,6 +27,10 @@ type Topology interface {
 	// traverses under the topology's deterministic routing. The
 	// returned slice must not be modified. Route(a, a) is empty.
 	Route(a, b int) []LinkID
+	// Diameter returns the largest Hops over all node pairs, as
+	// MaxHops measures it. It is a property of the shape, computed at
+	// construction or in closed form, so reading it is O(1).
+	Diameter() int
 	// Name returns a short human-readable description.
 	Name() string
 }
@@ -38,8 +42,9 @@ func checkNode(t Topology, n int) {
 }
 
 // MaxHops returns the network diameter in hops, by exhaustive search for
-// small topologies and sampling otherwise. It is used by machine
-// summaries and tests.
+// small topologies (at most 256 nodes) and deterministic stride
+// sampling otherwise. It is the reference Diameter is checked against,
+// and NewTorus keeps its value; network cost models read Diameter.
 func MaxHops(t Topology) int {
 	n := t.Nodes()
 	max := 0

