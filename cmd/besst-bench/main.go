@@ -52,9 +52,7 @@ func main() {
 	samples := flag.Int("samples", 10, "timing samples per parameter combination")
 	out := flag.String("o", "", "output path (default stdout)")
 	ledgerRun := flag.Bool("ledger", false, "run the benchmark ledger, write "+ledgerOut+" and gate it against "+ledgerBaseline+" instead of collecting a campaign")
-	// -workers keeps its historical default of 1: any other value
-	// selects the per-combination seeded parallel campaign collector.
-	common := cli.RegisterCommon(flag.CommandLine, 1)
+	common := cli.RegisterCommon(flag.CommandLine)
 	flag.Parse()
 
 	ses, err := common.Begin("besst-bench")
@@ -110,11 +108,7 @@ func main() {
 			EPRs: eprList, Ranks: rankList, Levels: fls,
 			SamplesPer: *samples, Seed: common.Seed,
 		}
-		if common.Workers == 1 {
-			campaign = benchdata.CollectLulesh(em, plan)
-		} else {
-			campaign = benchdata.CollectLuleshParallel(em, plan, common.Workers)
-		}
+		campaign = benchdata.CollectLulesh(em, plan)
 	case "cmtbone":
 		campaign = benchdata.CollectCmtBone(em, eprList, rankList, *samples, common.Seed)
 	default:

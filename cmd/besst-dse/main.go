@@ -56,7 +56,7 @@ func main() {
 	search := flag.Bool("search", false, "surrogate-guided sweep: fully simulate only a budgeted subset of the grid, fill the rest from per-scenario surrogates")
 	budget := flag.Float64("budget", 0.4, "fraction of the grid -search may fully simulate (0 < budget <= 1)")
 	memoPath := flag.String("memo", "", "append-only design-point memo journal for -search; replayed on boot so repeat runs skip simulated points")
-	common := cli.RegisterCommon(flag.CommandLine, 0)
+	common := cli.RegisterCommon(flag.CommandLine)
 	distFlags := cli.RegisterDist(flag.CommandLine)
 	flag.Parse()
 

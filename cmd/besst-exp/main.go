@@ -25,7 +25,7 @@ func main() {
 	fig := flag.Int("fig", 0, "reproduce one figure (1, 5-9); 0 = all")
 	ext := flag.String("ext", "", "extension experiment: faults | analytic | levels | optlevel | algdse | archdse")
 	quick := flag.Bool("quick", false, "reduced sample and Monte Carlo counts")
-	common := cli.RegisterCommon(flag.CommandLine, 0)
+	common := cli.RegisterCommon(flag.CommandLine)
 	flag.Parse()
 	seed := &common.Seed
 

@@ -31,7 +31,7 @@ func main() {
 	// besst tools but have no effect on a lint run; -json switches the
 	// diagnostics to a JSON array, and the profiling flags work as in
 	// every other tool.
-	common := cli.RegisterCommon(flag.CommandLine, 0)
+	common := cli.RegisterCommon(flag.CommandLine)
 	flag.Parse()
 
 	out := cli.NewPrinter(os.Stdout)

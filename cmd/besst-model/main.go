@@ -29,7 +29,7 @@ func main() {
 	vars := flag.String("vars", "epr,ranks", "model input variables, comma separated")
 	predict := flag.String("predict", "", "optional prediction point, e.g. \"epr=30,ranks=1331\"")
 	save := flag.String("save", "", "write the fitted model bundle as JSON to this path")
-	common := cli.RegisterCommon(flag.CommandLine, 0)
+	common := cli.RegisterCommon(flag.CommandLine)
 	flag.Parse()
 
 	if *in == "" {

@@ -58,7 +58,7 @@ func main() {
 	modelsPath := flag.String("models", "", "optional saved model bundle (besst-model -save) instead of fitting")
 	appPath := flag.String("app", "", "optional AppBEO JSON spec to simulate instead of the LULESH builder")
 	method := flag.String("method", "symreg", "modeling method: symreg | interp")
-	common := cli.RegisterCommon(flag.CommandLine, 0)
+	common := cli.RegisterCommon(flag.CommandLine)
 	distFlags := cli.RegisterDist(flag.CommandLine)
 	flag.Parse()
 

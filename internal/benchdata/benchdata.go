@@ -16,7 +16,6 @@ import (
 	"besst/internal/fti"
 	"besst/internal/groundtruth"
 	"besst/internal/lulesh"
-	"besst/internal/par"
 	"besst/internal/perfmodel"
 	"besst/internal/stats"
 	"besst/internal/symreg"
@@ -137,48 +136,6 @@ func CollectLulesh(e *groundtruth.Emulator, plan LuleshPlan) *Campaign {
 				}
 			}
 		}
-	}
-	return c
-}
-
-// CollectLuleshParallel runs the campaign with the (epr, ranks)
-// parameter combinations measured concurrently over at most `workers`
-// goroutines (<= 0 selects runtime.GOMAXPROCS). Each combination gets
-// its own RNG stream, seeded deterministically from plan.Seed in grid
-// order before any measurement starts, so the returned campaign is
-// byte-identical for every worker count. Its sample values differ from
-// CollectLulesh, which threads one RNG through the whole grid — that
-// single-stream variant is retained so recorded campaigns stay
-// reproducible.
-func CollectLuleshParallel(e *groundtruth.Emulator, plan LuleshPlan, workers int) *Campaign {
-	if plan.SamplesPer <= 0 {
-		panic("benchdata: non-positive samples per combination")
-	}
-	type combo struct{ epr, ranks int }
-	var combos []combo
-	for _, epr := range plan.EPRs {
-		for _, ranks := range plan.Ranks {
-			combos = append(combos, combo{epr, ranks})
-		}
-	}
-	seeds := par.SeedFan(plan.Seed, len(combos))
-	parts := make([][]Sample, len(combos))
-	par.ForEach(workers, len(combos), func(i int) {
-		cb := combos[i]
-		rng := stats.NewRNG(seeds[i])
-		p := perfmodel.Params{"epr": float64(cb.epr), "ranks": float64(cb.ranks)}
-		var sub Campaign
-		for s := 0; s < plan.SamplesPer; s++ {
-			sub.Add(lulesh.OpTimestep, p, e.MeasureLuleshTimestep(cb.epr, cb.ranks, rng))
-			for _, l := range plan.Levels {
-				sub.Add(lulesh.CkptOp(l), p, e.MeasureCkpt(l, cb.epr, cb.ranks, rng))
-			}
-		}
-		parts[i] = sub.Samples
-	})
-	c := &Campaign{}
-	for _, s := range parts {
-		c.Samples = append(c.Samples, s...)
 	}
 	return c
 }

@@ -2,7 +2,6 @@ package benchdata
 
 import (
 	"bytes"
-	"reflect"
 	"testing"
 
 	"besst/internal/fti"
@@ -33,34 +32,6 @@ func TestCollectLuleshShape(t *testing.T) {
 	}
 	if got := len(c.ForOp(lulesh.OpTimestep)); got != 12 {
 		t.Fatalf("timestep samples = %d", got)
-	}
-}
-
-// TestCollectLuleshParallelWorkerCountInvariant: per-combination seeds
-// are pre-assigned in grid order, so the parallel campaign must be
-// byte-identical at every worker count and across repeated runs.
-func TestCollectLuleshParallelWorkerCountInvariant(t *testing.T) {
-	em := groundtruth.NewQuartz()
-	serial := CollectLuleshParallel(em, smallPlan(), 1)
-	if len(serial.Samples) != 2*2*3*2 {
-		t.Fatalf("samples = %d", len(serial.Samples))
-	}
-	for _, workers := range []int{8, 0} {
-		got := CollectLuleshParallel(em, smallPlan(), workers)
-		if !reflect.DeepEqual(serial, got) {
-			t.Fatalf("workers=%d campaign differs from serial campaign", workers)
-		}
-	}
-	// Same grid as the single-stream collector: identical ops and
-	// per-op sample counts, only the noise streams differ.
-	legacy := CollectLulesh(em, smallPlan())
-	if !reflect.DeepEqual(legacy.Ops(), serial.Ops()) {
-		t.Fatalf("ops %v vs legacy %v", serial.Ops(), legacy.Ops())
-	}
-	for _, op := range legacy.Ops() {
-		if len(serial.ForOp(op)) != len(legacy.ForOp(op)) {
-			t.Fatalf("op %s: %d samples vs legacy %d", op, len(serial.ForOp(op)), len(legacy.ForOp(op)))
-		}
 	}
 }
 

@@ -206,14 +206,12 @@ type CompiledRun struct {
 	ckpts int // number of ckCkpt instances per run
 
 	// syncIdx is the dense syncID -> prog index table for the DES
-	// coordinator (syncIDs are assigned contiguously by compile), and
-	// ports the matching precomputed coordinator->rank release port
-	// names — both replace per-trial map builds and string formatting.
-	// Indices rather than instruction copies: cinstr is large and half a
-	// program can be sync points, so duplicating them would roughly
-	// double the compile footprint that DSE sweeps pay per cell.
+	// coordinator (syncIDs are assigned contiguously by compile); it
+	// replaces a per-trial map build. Indices rather than instruction
+	// copies: cinstr is large and half a program can be sync points, so
+	// duplicating them would roughly double the compile footprint that
+	// DSE sweeps pay per cell.
 	syncIdx []int32
-	ports   []string
 
 	// desPool recycles fully wired DES simulations across trials: a
 	// desSim is reset (engine rewound, RNGs reseeded, program counters
@@ -283,10 +281,6 @@ func newCompiledRun(app *beo.AppBEO, arch *beo.ArchBEO) *CompiledRun {
 			}
 			cr.syncIdx = append(cr.syncIdx, int32(i))
 		}
-	}
-	cr.ports = make([]string, app.Ranks)
-	for r := range cr.ports {
-		cr.ports[r] = rankPort(r)
 	}
 	return cr
 }

@@ -23,16 +23,13 @@ const (
 	pkRelease                  // coordinator -> rank: A = syncID
 )
 
-const (
-	portCoord = "coord" // rank -> coordinator
-)
-
 // rankComp executes the compiled program for one rank.
 type rankComp struct {
-	sim  *desSim
-	rank int
-	pc   int
-	rng  *stats.RNG
+	sim     *desSim
+	rank    int
+	toCoord des.LinkID // rank -> coordinator
+	pc      int
+	rng     *stats.RNG
 	// breakdown accounting (rank 0 only): the sync instruction rank 0
 	// is currently blocked on, and when it arrived there.
 	waitKind  ckind
@@ -49,7 +46,8 @@ type rankComp struct {
 // was dead state and is gone.
 type coordComp struct {
 	sim     *desSim
-	pending []int32 // syncID -> arrivals so far
+	pending []int32      // syncID -> arrivals so far
+	release []des.LinkID // rank -> coordinator-to-rank link handle
 	rng     *stats.RNG
 }
 
@@ -81,6 +79,7 @@ func newDesSim(cr *CompiledRun) *desSim {
 	s.coordC = &coordComp{
 		sim:     s,
 		pending: make([]int32, len(cr.syncIdx)),
+		release: make([]des.LinkID, 0, cr.app.Ranks),
 		rng:     new(stats.RNG),
 	}
 	s.coord = s.eng.Register(s.coordC)
@@ -89,8 +88,8 @@ func newDesSim(cr *CompiledRun) *desSim {
 		id := s.eng.Register(rc)
 		s.ranks = append(s.ranks, id)
 		s.rankC = append(s.rankC, rc)
-		s.eng.Connect(id, portCoord, s.coord, "in", 0)
-		s.eng.Connect(s.coord, cr.ports[r], id, "release", 0)
+		rc.toCoord = s.eng.Connect(id, s.coord, 0)
+		s.coordC.release = append(s.coordC.release, s.eng.Connect(s.coord, id, 0))
 	}
 	return s
 }
@@ -156,32 +155,6 @@ func simulateDES(cr *CompiledRun, cfg RunConfig, stream int) *Result {
 	return res
 }
 
-func rankPort(rank int) string {
-	// Port names are wired once per CompiledRun (see CompiledRun.ports),
-	// never on the event path.
-	return "r" + itoa(rank)
-}
-
-func itoa(n int) string {
-	if n < 0 {
-		// A negative rank index can only come from corrupted wiring
-		// logic; an empty or garbled port name would surface much later
-		// as a baffling missing-link panic, so fail at the source.
-		panic(fmt.Sprintf("besst: itoa on negative value %d", n))
-	}
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
-}
-
 // HandleEvent advances the rank's program until it blocks on a
 // collective or schedules compute time.
 func (rc *rankComp) HandleEvent(ctx *des.Context, ev des.Event) {
@@ -222,7 +195,7 @@ func (rc *rankComp) HandleEvent(ctx *des.Context, ev des.Event) {
 				rc.waitKind = c.kind
 				rc.waitSince = ctx.Now()
 			}
-			ctx.Send(portCoord, 0, des.Payload{
+			ctx.Send(rc.toCoord, 0, des.Payload{
 				Kind: pkArrive, A: int64(c.syncID), B: int64(rc.rank),
 			})
 			return // resume on release
@@ -244,8 +217,8 @@ func (cc *coordComp) HandleEvent(ctx *des.Context, ev des.Event) {
 		// wiring or protocol is broken; match the engine's policy that
 		// wiring errors are construction bugs, not runtime conditions.
 		panic(fmt.Sprintf(
-			"besst: coordinator received payload kind %d (data %v) on port %q at %v; only arrivals are wired here",
-			p.Kind, p.Data, ev.SrcPort, ctx.Now()))
+			"besst: coordinator received payload kind %d at %v; only arrivals are wired here",
+			p.Kind, ctx.Now()))
 	}
 	s := cc.sim
 	syncID := int(p.A)
@@ -272,7 +245,7 @@ func (cc *coordComp) HandleEvent(ctx *des.Context, ev des.Event) {
 	}
 	extra := des.FromSeconds(cost)
 	release := des.Payload{Kind: pkRelease, A: p.A}
-	for r := 0; r < s.cr.app.Ranks; r++ {
-		ctx.Send(s.cr.ports[r], extra, release)
+	for _, l := range cc.release {
+		ctx.Send(l, extra, release)
 	}
 }

@@ -61,12 +61,10 @@ type CommonFlags struct {
 }
 
 // RegisterCommon registers the shared flags on fs (use flag.CommandLine
-// in a main) and returns the bound struct. workersDefault seeds the
-// -workers default, since the tools disagree on it (besst-bench keeps
-// its historical serial default).
-func RegisterCommon(fs *flag.FlagSet, workersDefault int) *CommonFlags {
+// in a main) and returns the bound struct.
+func RegisterCommon(fs *flag.FlagSet) *CommonFlags {
 	f := &CommonFlags{}
-	fs.IntVar(&f.Workers, "workers", workersDefault,
+	fs.IntVar(&f.Workers, "workers", 0,
 		"concurrent workers (<=0: GOMAXPROCS); results are identical for every worker count")
 	fs.Uint64Var(&f.Seed, "seed", 42, "master random seed")
 	fs.BoolVar(&f.JSON, "json", false, "emit machine-readable JSON output where the tool defines one")

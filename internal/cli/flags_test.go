@@ -11,7 +11,7 @@ import (
 func sessionWith(t *testing.T, args ...string) *Session {
 	t.Helper()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	f := RegisterCommon(fs, 0)
+	f := RegisterCommon(fs)
 	if err := fs.Parse(args); err != nil {
 		t.Fatalf("parse %v: %v", args, err)
 	}

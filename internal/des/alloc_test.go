@@ -12,24 +12,28 @@ import "testing"
 // exactly what the bench-regression gate exists to catch; this test
 // catches it in tier-1 `go test ./...` without running benchmarks.
 
-// allocEcho bounces an event back over its "out" link while the shared
+// allocEcho bounces an event back over its out link while the shared
 // countdown is positive, exercising the link-send path.
-type allocEcho struct{ n *int }
+type allocEcho struct {
+	n   *int
+	out LinkID
+}
 
 func (e *allocEcho) HandleEvent(ctx *Context, ev Event) {
 	if *e.n > 0 {
 		*e.n--
-		ctx.Send("out", 0, Payload{Kind: 1, A: int64(*e.n)})
+		ctx.Send(e.out, 0, Payload{Kind: 1, A: int64(*e.n)})
 	}
 }
 
 func TestSequentialDispatchZeroAllocs(t *testing.T) {
 	e := NewEngine()
 	n := 0
-	a := e.Register(&allocEcho{n: &n})
-	b := e.Register(&allocEcho{n: &n})
-	e.Connect(a, "out", b, "in", 1)
-	e.Connect(b, "out", a, "in", 1)
+	ea, eb := &allocEcho{n: &n}, &allocEcho{n: &n}
+	a := e.Register(ea)
+	b := e.Register(eb)
+	ea.out = e.Connect(a, b, 1)
+	eb.out = e.Connect(b, a, 1)
 
 	const events = 512
 	run := func() {

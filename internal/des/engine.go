@@ -3,23 +3,20 @@ package des
 import "fmt"
 
 // Payload is the typed content of an event. Kind is a component-defined
-// message tag and A/B carry two integer arguments inline, so the common
-// protocol messages of a simulation travel without heap allocation.
-// Data is the escape hatch for arbitrary values; storing a non-nil Data
-// boxes it into the interface at the sender — exactly the per-event
-// allocation the typed fields exist to avoid — so hot-path protocols
-// should encode into Kind/A/B and leave Data nil.
+// message tag and A/B carry two integer arguments inline, so protocol
+// messages travel without heap allocation. Payload holds no pointers:
+// a protocol that needs more state keeps it in its components and
+// sends an index.
 type Payload struct {
 	Kind int32
 	A, B int64
-	Data any
 }
 
-// Event is a timestamped message delivered to a component.
+// Event is a timestamped message delivered to a component. It holds no
+// pointers, so the queue's spare capacity can never pin memory.
 type Event struct {
 	Time    Time
 	Dst     ComponentID
-	SrcPort string // name of the link/port the event arrived on ("" for self events)
 	Payload Payload
 
 	seq uint64 // FIFO tie-breaker for deterministic ordering
@@ -27,6 +24,11 @@ type Event struct {
 
 // ComponentID identifies a component registered with an engine.
 type ComponentID int
+
+// LinkID is a handle to a unidirectional link, returned by Connect and
+// passed to Context.Send. Links are bound once at construction, so a
+// send is an index, not a name lookup.
+type LinkID int32
 
 // Component is the unit of simulation. HandleEvent is invoked once per
 // delivered event with the engine's clock already advanced to the event
@@ -47,12 +49,13 @@ type Context struct {
 }
 
 // Now returns the current simulated time.
+//
+//lint:hotpath
 func (c *Context) Now() Time { return c.now }
 
-// Self returns the handling component's ID.
-func (c *Context) Self() ComponentID { return c.id }
-
 // ScheduleSelf enqueues an event for the handling component after delay.
+//
+//lint:hotpath
 func (c *Context) ScheduleSelf(delay Time, payload Payload) {
 	if delay < 0 {
 		panic("des: negative delay")
@@ -60,45 +63,32 @@ func (c *Context) ScheduleSelf(delay Time, payload Payload) {
 	c.eng.schedule(Event{Time: c.now + delay, Dst: c.id, Payload: payload})
 }
 
-// Send delivers payload over the named outgoing link of the handling
+// Send delivers payload over link l, which must start at the handling
 // component. Delivery occurs after the link's configured latency plus
-// extra. It panics if the component has no such link: wiring errors are
-// construction bugs, not runtime conditions.
-func (c *Context) Send(port string, extra Time, payload Payload) {
-	l, ok := c.eng.link(c.id, port)
-	if !ok {
-		panic(fmt.Sprintf("des: component %d has no link %q", c.id, port))
+// extra. It panics if l is out of range or belongs to another
+// component: wiring errors are construction bugs, not runtime
+// conditions.
+//
+//lint:hotpath
+func (c *Context) Send(l LinkID, extra Time, payload Payload) {
+	links := c.eng.links
+	if l < 0 || int(l) >= len(links) || links[l].src != c.id {
+		panic(fmt.Sprintf("des: component %d does not own link %d", c.id, l))
 	}
 	if extra < 0 {
 		panic("des: negative extra latency")
 	}
 	c.eng.schedule(Event{
-		Time:    c.now + l.latency + extra,
-		Dst:     l.dst,
-		SrcPort: l.dstPort,
+		Time:    c.now + links[l].latency + extra,
+		Dst:     links[l].dst,
 		Payload: payload,
 	})
 }
 
-// LinkLatency reports the configured latency of one of the handling
-// component's outgoing links.
-func (c *Context) LinkLatency(port string) Time {
-	l, ok := c.eng.link(c.id, port)
-	if !ok {
-		panic(fmt.Sprintf("des: component %d has no link %q", c.id, port))
-	}
-	return l.latency
-}
-
-type portKey struct {
-	src  ComponentID
-	port string
-}
-
-type halfLink struct {
-	dst     ComponentID
-	dstPort string
-	latency Time
+// link is one unidirectional connection, indexed by its LinkID.
+type link struct {
+	src, dst ComponentID
+	latency  Time
 }
 
 // Engine is the sequential discrete-event simulator. Construct with
@@ -107,7 +97,7 @@ type halfLink struct {
 // Reset and rerun, reusing its components, links, and queue capacity.
 type Engine struct {
 	components []Component
-	links      map[portKey]halfLink
+	links      []link
 	queue      eventQueue
 	ctx        Context // reused across dispatches; one escape, not one per event
 	now        Time
@@ -121,7 +111,7 @@ type Engine struct {
 
 // NewEngine returns an empty engine at time zero.
 func NewEngine() *Engine {
-	e := &Engine{links: make(map[portKey]halfLink)}
+	e := &Engine{}
 	e.ctx.eng = e
 	return e
 }
@@ -135,27 +125,19 @@ func (e *Engine) Register(c Component) ComponentID {
 	return ComponentID(len(e.components) - 1)
 }
 
-// Connect wires a unidirectional link from src's port srcPort to dst's
-// port dstPort with the given latency. Events sent on srcPort arrive at
-// dst tagged with dstPort.
-func (e *Engine) Connect(src ComponentID, srcPort string, dst ComponentID, dstPort string, latency Time) {
+// Connect wires a unidirectional link from src to dst with the given
+// latency and returns its handle; only src may send on it.
+func (e *Engine) Connect(src, dst ComponentID, latency Time) LinkID {
 	if latency < 0 {
 		panic("des: negative link latency")
 	}
-	key := portKey{src, srcPort}
-	if _, dup := e.links[key]; dup {
-		panic(fmt.Sprintf("des: duplicate link %d/%q", src, srcPort))
-	}
-	e.links[key] = halfLink{dst: dst, dstPort: dstPort, latency: latency}
-}
-
-// ConnectBidirectional wires a:aPort <-> b:bPort with equal latency.
-func (e *Engine) ConnectBidirectional(a ComponentID, aPort string, b ComponentID, bPort string, latency Time) {
-	e.Connect(a, aPort, b, bPort, latency)
-	e.Connect(b, bPort, a, aPort, latency)
+	e.links = append(e.links, link{src: src, dst: dst, latency: latency})
+	return LinkID(len(e.links) - 1)
 }
 
 // ScheduleAt enqueues an initial event for dst at absolute time t.
+//
+//lint:hotpath
 func (e *Engine) ScheduleAt(t Time, dst ComponentID, payload Payload) {
 	if t < e.now {
 		panic("des: scheduling into the past")
@@ -163,6 +145,9 @@ func (e *Engine) ScheduleAt(t Time, dst ComponentID, payload Payload) {
 	e.schedule(Event{Time: t, Dst: dst, Payload: payload})
 }
 
+// schedule stamps ev with the next sequence number and queues it.
+//
+//lint:hotpath
 func (e *Engine) schedule(ev Event) {
 	if ev.Time < e.now {
 		panic("des: scheduling into the past")
@@ -176,11 +161,6 @@ func (e *Engine) schedule(ev Event) {
 	if e.tracer != nil {
 		e.tracer.EventQueued(e.stream, int(ev.Dst), int64(e.now), int64(ev.Time))
 	}
-}
-
-func (e *Engine) link(src ComponentID, port string) (halfLink, bool) {
-	l, ok := e.links[portKey{src, port}]
-	return l, ok
 }
 
 // Now returns the current simulated time.
@@ -226,6 +206,8 @@ func (e *Engine) Reset() {
 // Run processes events in timestamp order until the queue is empty or
 // the horizon is passed (horizon <= 0 means no horizon). It returns the
 // final simulated time.
+//
+//lint:hotpath
 func (e *Engine) Run(horizon Time) Time {
 	e.running = true
 	defer func() { e.running = false }()
@@ -245,6 +227,9 @@ func (e *Engine) Run(horizon Time) Time {
 	return e.now
 }
 
+// dispatch delivers ev to its destination component.
+//
+//lint:hotpath
 func (e *Engine) dispatch(ev Event) {
 	dst := int(ev.Dst)
 	if dst < 0 || dst >= len(e.components) {
@@ -264,6 +249,8 @@ func (e *Engine) dispatch(ev Event) {
 
 // Step processes exactly one event if available, returning false when
 // the queue is empty. It is exposed for tests and debugging tooling.
+//
+//lint:hotpath
 func (e *Engine) Step() bool {
 	if e.queue.len() == 0 {
 		return false

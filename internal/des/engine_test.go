@@ -1,26 +1,28 @@
 package des
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // recorder logs the order and time of every event it receives.
 type recorder struct {
 	times    []Time
 	payloads []Payload
-	ports    []string
 }
 
 func (r *recorder) HandleEvent(ctx *Context, ev Event) {
 	r.times = append(r.times, ctx.Now())
 	r.payloads = append(r.payloads, ev.Payload)
-	r.ports = append(r.ports, ev.SrcPort)
 }
 
-// pinger sends count messages over its "out" link, one per received event.
+// pinger sends count messages over its out link, one per received event.
 type pinger struct {
 	remaining int
+	out       LinkID
 }
 
 func (p *pinger) HandleEvent(ctx *Context, ev Event) {
@@ -28,22 +30,23 @@ func (p *pinger) HandleEvent(ctx *Context, ev Event) {
 		return
 	}
 	p.remaining--
-	ctx.Send("out", 0, Payload{A: int64(p.remaining)})
+	ctx.Send(p.out, 0, Payload{A: int64(p.remaining)})
 	if p.remaining > 0 {
 		ctx.ScheduleSelf(Microsecond, Payload{})
 	}
 }
 
-// echo bounces a counter back over its "peer" link until the counter
+// echo passes a counter on over its peer link until the counter
 // reaches zero, recording each arrival time.
 type echo struct {
 	times []Time
+	peer  LinkID
 }
 
 func (c *echo) HandleEvent(ctx *Context, ev Event) {
 	c.times = append(c.times, ctx.Now())
 	if n := ev.Payload.A; n > 0 {
-		ctx.Send("peer", 0, Payload{A: n - 1})
+		ctx.Send(c.peer, 0, Payload{A: n - 1})
 	}
 }
 
@@ -73,15 +76,15 @@ func TestSequentialOrdering(t *testing.T) {
 	e := NewEngine()
 	r := &recorder{}
 	id := e.Register(r)
-	e.ScheduleAt(30, id, Payload{Data: "c"})
-	e.ScheduleAt(10, id, Payload{Data: "a"})
-	e.ScheduleAt(20, id, Payload{Data: "b"})
+	e.ScheduleAt(30, id, Payload{A: 3})
+	e.ScheduleAt(10, id, Payload{A: 1})
+	e.ScheduleAt(20, id, Payload{A: 2})
 	e.Run(0)
 	if len(r.payloads) != 3 {
 		t.Fatalf("got %d events", len(r.payloads))
 	}
-	for i, want := range []string{"a", "b", "c"} {
-		if r.payloads[i].Data != want {
+	for i, want := range []int64{1, 2, 3} {
+		if r.payloads[i].A != want {
 			t.Fatalf("event %d = %v, want %v", i, r.payloads[i], want)
 		}
 	}
@@ -111,14 +114,11 @@ func TestLinkLatencyDelivery(t *testing.T) {
 	r := &recorder{}
 	pid := e.Register(p)
 	rid := e.Register(r)
-	e.Connect(pid, "out", rid, "in", 50)
+	p.out = e.Connect(pid, rid, 50)
 	e.ScheduleAt(100, pid, Payload{})
 	e.Run(0)
 	if len(r.times) != 1 || r.times[0] != 150 {
 		t.Fatalf("delivery times %v, want [150]", r.times)
-	}
-	if r.ports[0] != "in" {
-		t.Fatalf("arrival port %q, want in", r.ports[0])
 	}
 }
 
@@ -146,7 +146,7 @@ func TestSelfScheduleChain(t *testing.T) {
 	r := &recorder{}
 	pid := e.Register(p)
 	rid := e.Register(r)
-	e.Connect(pid, "out", rid, "in", 1)
+	p.out = e.Connect(pid, rid, 1)
 	e.ScheduleAt(0, pid, Payload{})
 	e.Run(0)
 	if len(r.times) != 5 {
@@ -157,19 +157,8 @@ func TestSelfScheduleChain(t *testing.T) {
 	}
 }
 
-func TestConnectDuplicatePanics(t *testing.T) {
-	e := NewEngine()
-	a := e.Register(&recorder{})
-	b := e.Register(&recorder{})
-	e.Connect(a, "out", b, "in", 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on duplicate link")
-		}
-	}()
-	e.Connect(a, "out", b, "in", 2)
-}
-
+// TestSendOnMissingPortPanics: a component that was never wired sends
+// on the zero handle, which no Connect returned.
 func TestSendOnMissingPortPanics(t *testing.T) {
 	e := NewEngine()
 	p := &pinger{remaining: 1}
@@ -181,6 +170,39 @@ func TestSendOnMissingPortPanics(t *testing.T) {
 		}
 	}()
 	e.Run(0)
+}
+
+// TestSendOnForeignLinkPanics: a component may send only on links it
+// is the source of; another component's handle and a handle no Connect
+// returned are both wiring bugs.
+func TestSendOnForeignLinkPanics(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		out  func(foreign LinkID) LinkID
+	}{
+		{"foreign", func(foreign LinkID) LinkID { return foreign }},
+		{"out of range", func(foreign LinkID) LinkID { return foreign + 1 }},
+		{"negative", func(LinkID) LinkID { return -1 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e := NewEngine()
+			p := &pinger{remaining: 1}
+			pid := e.Register(p)
+			rid := e.Register(&recorder{})
+			p.out = c.out(e.Connect(rid, pid, 1))
+			e.ScheduleAt(0, pid, Payload{})
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatal("expected panic for a link the sender does not own")
+				}
+				if msg, _ := r.(string); !strings.Contains(msg, "does not own link") {
+					t.Fatalf("panic %v does not name the link", r)
+				}
+			}()
+			e.Run(0)
+		})
+	}
 }
 
 func TestSchedulePastPanics(t *testing.T) {
@@ -202,7 +224,8 @@ func TestBidirectionalLink(t *testing.T) {
 	b := &pinger{remaining: 1}
 	aid := e.Register(a)
 	bid := e.Register(b)
-	e.ConnectBidirectional(aid, "out", bid, "out", 7)
+	e.Connect(aid, bid, 7)
+	b.out = e.Connect(bid, aid, 7)
 	e.ScheduleAt(0, bid, Payload{})
 	e.Run(0)
 	if len(a.times) != 1 || a.times[0] != 7 {
@@ -236,25 +259,6 @@ func TestTimeFormatting(t *testing.T) {
 	}
 }
 
-func TestLinkLatencyAccessor(t *testing.T) {
-	e := NewEngine()
-	probe := &latencyProbe{}
-	a := e.Register(probe)
-	b := e.Register(&recorder{})
-	e.Connect(a, "out", b, "in", 42)
-	e.ScheduleAt(0, a, Payload{})
-	e.Run(0)
-	if probe.seen != 42 {
-		t.Fatalf("latency = %v, want 42", probe.seen)
-	}
-}
-
-type latencyProbe struct{ seen Time }
-
-func (p *latencyProbe) HandleEvent(ctx *Context, ev Event) {
-	p.seen = ctx.LinkLatency("out")
-}
-
 func TestNegativeLinkLatencyPanics(t *testing.T) {
 	e := NewEngine()
 	a := e.Register(&recorder{})
@@ -264,7 +268,7 @@ func TestNegativeLinkLatencyPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	e.Connect(a, "out", b, "in", -1)
+	e.Connect(a, b, -1)
 }
 
 func TestRegisterDuringRunPanics(t *testing.T) {
@@ -283,4 +287,31 @@ type registrar struct{ eng *Engine }
 
 func (r *registrar) HandleEvent(ctx *Context, ev Event) {
 	r.eng.Register(&recorder{})
+}
+
+// TestEventLayout pins the compact event: at most 48 bytes, copied by
+// value through the heap, and free of anything the garbage collector
+// must trace. The pointer-free walk is what lets the queue leave stale
+// slots in its spare capacity without pinning memory.
+func TestEventLayout(t *testing.T) {
+	if size := unsafe.Sizeof(Event{}); size > 48 {
+		t.Errorf("Event is %d bytes, want <= 48", size)
+	}
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Pointer, reflect.UnsafePointer, reflect.String, reflect.Slice,
+			reflect.Map, reflect.Interface, reflect.Chan, reflect.Func:
+			t.Errorf("%s is a %s; events must hold no pointers", path, typ.Kind())
+		}
+	}
+	walk("Event", reflect.TypeOf(Event{}))
+	walk("Payload", reflect.TypeOf(Payload{}))
 }

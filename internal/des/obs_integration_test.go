@@ -18,7 +18,7 @@ func buildRing(e *Engine, n int, latency Time) []*echo {
 		ids[i] = e.Register(comps[i])
 	}
 	for i := 0; i < n; i++ {
-		e.Connect(ids[i], "peer", ids[(i+1)%n], "peer", latency)
+		comps[i].peer = e.Connect(ids[i], ids[(i+1)%n], latency)
 	}
 	return comps
 }

@@ -17,6 +17,8 @@ type eventQueue struct {
 
 // eventBefore is the strict ordering: earlier time first, then FIFO by
 // schedule sequence.
+//
+//lint:hotpath
 func eventBefore(a, b *Event) bool {
 	if a.Time != b.Time {
 		return a.Time < b.Time
@@ -24,22 +26,26 @@ func eventBefore(a, b *Event) bool {
 	return a.seq < b.seq
 }
 
+// len returns the number of queued events.
+//
+//lint:hotpath
 func (q *eventQueue) len() int { return len(q.ev) }
 
 // reset empties the queue, keeping the backing array for reuse across
-// trials. Slots are zeroed so stale escape-hatch payloads (Payload.Data)
-// are not pinned by a pooled engine.
-func (q *eventQueue) reset() {
-	for i := range q.ev {
-		q.ev[i] = Event{}
-	}
-	q.ev = q.ev[:0]
-}
+// trials. Events hold no pointers, so stale slots pin nothing.
+//
+//lint:hotpath
+func (q *eventQueue) reset() { q.ev = q.ev[:0] }
 
 // peek returns the minimum event without removing it. The queue must be
 // non-empty.
+//
+//lint:hotpath
 func (q *eventQueue) peek() *Event { return &q.ev[0] }
 
+// push inserts ev.
+//
+//lint:hotpath
 func (q *eventQueue) push(ev Event) {
 	a := append(q.ev, ev)
 	q.ev = a
@@ -57,12 +63,15 @@ func (q *eventQueue) push(ev Event) {
 	a[i] = ev
 }
 
+// pop removes and returns the minimum event. The queue must be
+// non-empty.
+//
+//lint:hotpath
 func (q *eventQueue) pop() Event {
 	a := q.ev
 	top := a[0]
 	last := len(a) - 1
 	ev := a[last]
-	a[last] = Event{} // drop payload references held in spare capacity
 	a = a[:last]
 	q.ev = a
 	if last == 0 {

@@ -81,33 +81,3 @@ func TestEventQueueInterleaved(t *testing.T) {
 		delete(live, got.seq)
 	}
 }
-
-// TestEventQueueResetAndPopClearSlots verifies vacated backing-array
-// slots are zeroed: a pooled engine must not pin escape-hatch payload
-// data (Payload.Data) through spare queue capacity.
-func TestEventQueueResetAndPopClearSlots(t *testing.T) {
-	var q eventQueue
-	for i := 0; i < 16; i++ {
-		q.push(Event{Time: Time(i), seq: uint64(i), Payload: Payload{Data: "pinned"}})
-	}
-	for i := 0; i < 8; i++ {
-		q.pop()
-	}
-	if got := q.ev[:cap(q.ev)]; got[len(q.ev)].Payload.Data != nil {
-		t.Fatal("pop left payload data in the vacated slot")
-	}
-	cp := cap(q.ev)
-	q.reset()
-	if q.len() != 0 {
-		t.Fatalf("reset left %d events queued", q.len())
-	}
-	if cap(q.ev) != cp {
-		t.Fatalf("reset dropped backing capacity: %d -> %d", cp, cap(q.ev))
-	}
-	full := q.ev[:cap(q.ev)]
-	for i := range full {
-		if full[i].Payload.Data != nil {
-			t.Fatalf("reset left payload data in slot %d", i)
-		}
-	}
-}

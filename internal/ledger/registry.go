@@ -112,13 +112,13 @@ func stableAllocs(fn func()) int64 {
 	return int64(best)
 }
 
-// hop forwards a decrementing counter around a ring with no handler
-// work, so measured time is pure engine overhead.
-type hop struct{}
+// hop forwards a decrementing counter to the next ring node with no
+// handler work, so measured time is pure engine overhead.
+type hop struct{ next des.LinkID }
 
-func (hop) HandleEvent(ctx *des.Context, ev des.Event) {
+func (h *hop) HandleEvent(ctx *des.Context, ev des.Event) {
 	if n := ev.Payload.A; n > 0 {
-		ctx.Send("next", 0, des.Payload{A: n - 1})
+		ctx.Send(h.next, 0, des.Payload{A: n - 1})
 	}
 }
 
@@ -127,12 +127,13 @@ func (hop) HandleEvent(ctx *des.Context, ev des.Event) {
 func benchDispatch(b *testing.B) {
 	const ringNodes = 64
 	e := des.NewEngine()
+	hops := make([]hop, ringNodes)
 	ids := make([]des.ComponentID, ringNodes)
 	for i := range ids {
-		ids[i] = e.Register(hop{})
+		ids[i] = e.Register(&hops[i])
 	}
 	for i := range ids {
-		e.Connect(ids[i], "next", ids[(i+1)%ringNodes], "next", 1)
+		hops[i].next = e.Connect(ids[i], ids[(i+1)%ringNodes], 1)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

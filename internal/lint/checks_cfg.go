@@ -19,23 +19,6 @@ import (
 // HotpathDirective marks a function as hot-path scope for hotalloc.
 const HotpathDirective = "//lint:hotpath"
 
-// funcKey names a declaration the way the hot-scope table does:
-// "Recv.Name" for methods (pointer receivers unwrapped), "Name" for
-// plain functions.
-func funcKey(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return fd.Name.Name
-	}
-	t := fd.Recv.List[0].Type
-	if se, ok := t.(*ast.StarExpr); ok {
-		t = se.X
-	}
-	if id, ok := ast.Unparen(t).(*ast.Ident); ok {
-		return id.Name + "." + fd.Name.Name
-	}
-	return fd.Name.Name
-}
-
 // hasHotpathDirective reports whether the declaration's doc comment
 // carries //lint:hotpath.
 func hasHotpathDirective(fd *ast.FuncDecl) bool {
@@ -84,53 +67,18 @@ func fieldObject(pkg *Package, sel *ast.SelectorExpr) *types.Var {
 // ---------------------------------------------------------------------------
 // hotalloc
 
-// desHotFuncs is the built-in hot-path scope: the per-event functions
-// of internal/des — queue operations, sequential dispatch, and the
-// Context calls handlers make — whose zero-allocation discipline the
-// AllocsPerRun tests measure dynamically and this check enforces
-// statically, on every path. Functions elsewhere opt in with a
-// //lint:hotpath doc directive.
-var desHotFuncs = map[string]bool{
-	"eventBefore":      true,
-	"eventQueue.len":   true,
-	"eventQueue.reset": true,
-	"eventQueue.peek":  true,
-	"eventQueue.push":  true,
-	"eventQueue.pop":   true,
-
-	"Engine.Run":        true,
-	"Engine.Step":       true,
-	"Engine.dispatch":   true,
-	"Engine.schedule":   true,
-	"Engine.ScheduleAt": true,
-	"Engine.link":       true,
-
-	"Context.Now":          true,
-	"Context.Self":         true,
-	"Context.ScheduleSelf": true,
-	"Context.Send":         true,
-	"Context.LinkLatency":  true,
-}
-
-// desHotScope is where the built-in table applies.
-var desHotScope = []string{"internal/des"}
-
 type hotallocCheck struct{}
 
 func (*hotallocCheck) Name() string { return "hotalloc" }
 func (*hotallocCheck) Doc() string {
-	return "hot-path functions (internal/des queue/dispatch/context plus //lint:hotpath) must not contain heap-allocating constructs"
+	return "hot-path functions (marked //lint:hotpath) must not contain heap-allocating constructs"
 }
 
 func (c *hotallocCheck) Run(pkg *Package, report ReportFunc) {
-	inDes := pathScopedTo(pkg, desHotScope)
 	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			if !(inDes && desHotFuncs[funcKey(fd)]) && !hasHotpathDirective(fd) {
+			if !ok || fd.Body == nil || !hasHotpathDirective(fd) {
 				continue
 			}
 			w := &hotWalker{pkg: pkg, report: report, fd: fd}

@@ -191,17 +191,14 @@ func parseDirectives(pkg *Package) []*directive {
 }
 
 // hotpathIssues polices //lint:hotpath directives: they take no
-// arguments, must sit in a function declaration's doc comment, and are
-// redundant on functions the built-in internal/des hot table already
-// covers.
+// arguments and must sit in a function declaration's doc comment.
 func hotpathIssues(pkg *Package) []Diagnostic {
 	var out []Diagnostic
-	inDes := pathScopedTo(pkg, desHotScope)
 	for _, f := range pkg.Files {
-		docOf := map[*ast.CommentGroup]*ast.FuncDecl{}
+		isDoc := map[*ast.CommentGroup]bool{}
 		for _, decl := range f.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Doc != nil {
-				docOf[fd.Doc] = fd
+				isDoc[fd.Doc] = true
 			}
 		}
 		for _, cg := range f.Comments {
@@ -210,25 +207,20 @@ func hotpathIssues(pkg *Package) []Diagnostic {
 				if !ok {
 					continue
 				}
+				var msg string
+				switch {
+				case strings.TrimSpace(rest) != "":
+					msg = "//lint:hotpath takes no arguments"
+				case !isDoc[cg]:
+					msg = "//lint:hotpath must sit in a function declaration's doc comment"
+				default:
+					continue
+				}
 				pos := pkg.Fset.Position(c.Pos())
-				mk := func(format string, args ...any) {
-					out = append(out, Diagnostic{
-						File: pkg.relFile(pos), Line: pos.Line, Col: pos.Column,
-						Check: DirectiveCheck, Message: fmt.Sprintf(format, args...),
-					})
-				}
-				if strings.TrimSpace(rest) != "" {
-					mk("//lint:hotpath takes no arguments")
-					continue
-				}
-				fd, ok := docOf[cg]
-				if !ok {
-					mk("//lint:hotpath must sit in a function declaration's doc comment")
-					continue
-				}
-				if inDes && desHotFuncs[funcKey(fd)] {
-					mk("//lint:hotpath on %s is redundant: the built-in hot-path table already covers it", funcKey(fd))
-				}
+				out = append(out, Diagnostic{
+					File: pkg.relFile(pos), Line: pos.Line, Col: pos.Column,
+					Check: DirectiveCheck, Message: msg,
+				})
 			}
 		}
 	}
