@@ -121,14 +121,16 @@ dist-smoke: build
 
 # fuzz runs the short corruption fuzzers: the checkpoint-journal reader
 # (torn tails, garbage lines), the AppBEO JSON decoder, the
-# symbolic-regression model decoder (accepted models must Predict), and
-# the serve request canonicalizer (canonical forms are fixed points and
-# hash to the input's campaign ID).
+# symbolic-regression model decoder (accepted models must Predict), the
+# serve request canonicalizer (canonical forms are fixed points and
+# hash to the input's campaign ID), and the DES event queue (every
+# delivery in (Time, seq) order against a sorted reference).
 fuzz:
 	$(GO) test ./internal/resilience -run xxx -fuzz FuzzReadJournal -fuzztime 20s
 	$(GO) test ./internal/beo -run xxx -fuzz FuzzAppBEOJSON -fuzztime 20s
 	$(GO) test ./internal/symreg -run xxx -fuzz FuzzFittedJSON -fuzztime 20s
 	$(GO) test ./internal/serve -run xxx -fuzz FuzzCanonicalJSON -fuzztime 20s
+	$(GO) test ./internal/des -run xxx -fuzz FuzzEventQueue -fuzztime 20s
 
 # profile captures a full observability bundle from a small DES run:
 # CPU and heap profiles, a Chrome trace, and the run-metrics document,

@@ -57,6 +57,7 @@ func main() {
 	budget := flag.Float64("budget", 0.4, "fraction of the grid -search may fully simulate (0 < budget <= 1)")
 	memoPath := flag.String("memo", "", "append-only design-point memo journal for -search; replayed on boot so repeat runs skip simulated points")
 	common := cli.RegisterCommon(flag.CommandLine)
+	common.RegisterCampaign(flag.CommandLine)
 	distFlags := cli.RegisterDist(flag.CommandLine)
 	flag.Parse()
 

@@ -27,10 +27,9 @@ import (
 func main() {
 	checksFlag := flag.String("checks", "", "comma-separated subset of checks to run (default: all)")
 	listFlag := flag.Bool("list", false, "list available checks and exit")
-	// -seed and -workers are accepted for flag uniformity across the
-	// besst tools but have no effect on a lint run; -json switches the
-	// diagnostics to a JSON array, and the profiling flags work as in
-	// every other tool.
+	// -seed is accepted for flag uniformity across the besst tools but
+	// has no effect on a lint run; -json switches the diagnostics to a
+	// JSON array, and the profiling flags work as in every other tool.
 	common := cli.RegisterCommon(flag.CommandLine)
 	flag.Parse()
 

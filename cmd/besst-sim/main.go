@@ -59,6 +59,7 @@ func main() {
 	appPath := flag.String("app", "", "optional AppBEO JSON spec to simulate instead of the LULESH builder")
 	method := flag.String("method", "symreg", "modeling method: symreg | interp")
 	common := cli.RegisterCommon(flag.CommandLine)
+	common.RegisterCampaign(flag.CommandLine)
 	distFlags := cli.RegisterDist(flag.CommandLine)
 	flag.Parse()
 

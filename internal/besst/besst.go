@@ -116,6 +116,26 @@ type cinstr struct {
 	// changes no output bytes. Monte Carlo Sample draws still happen
 	// per trial; ckComm costs are deterministic in every mode.
 	detCost float64
+	// logNormal records that model implements perfmodel.LogNormal, with
+	// sigma its LogSigma, so sample scales detCost by one draw instead
+	// of evaluating the model again.
+	logNormal bool
+	sigma     float64
+}
+
+// sample draws one Monte Carlo cost of a ckComp/ckCkpt instruction. It
+// equals c.model.Sample(c.params, rng) bit for bit and leaves rng in the
+// same state: for a perfmodel.LogNormal model that draw is
+// Predict(params) — the precomputed detCost — times one log-normal
+// factor, and none when sigma is 0; any other model is asked directly.
+func (c *cinstr) sample(rng *stats.RNG) float64 {
+	if !c.logNormal {
+		return c.model.Sample(c.params, rng)
+	}
+	if c.sigma > 0 {
+		return c.detCost * rng.LogNormal(0, c.sigma)
+	}
+	return c.detCost
 }
 
 // compile expands the program into the flat dynamic instruction list
@@ -267,6 +287,9 @@ func newCompiledRun(app *beo.AppBEO, arch *beo.ArchBEO) *CompiledRun {
 				c.detCost = c.model.Predict(c.params)
 				memo[c.op] = costMemo{params: c.params, cost: c.detCost}
 			}
+			if ln, ok := c.model.(perfmodel.LogNormal); ok {
+				c.logNormal, c.sigma = true, ln.LogSigma()
+			}
 			if c.kind == ckCkpt {
 				cr.ckpts++
 			}
@@ -334,11 +357,9 @@ func simulateDirect(cr *CompiledRun, cfg RunConfig) *Result {
 					// draw does; reuse the shared extreme-value
 					// helper for identical semantics with the
 					// ground-truth emulator.
-					mean := c.detCost
-					sigma := modelSigma(c.model, c.params, mean, rng)
-					now += groundtruth.StepMax(mean, sigma, ranks, rng)
+					now += groundtruth.StepMax(c.detCost, modelSigma(c, rng), ranks, rng)
 				} else {
-					now += c.model.Sample(c.params, rng)
+					now += c.sample(rng)
 				}
 			} else {
 				now += c.detCost
@@ -351,7 +372,7 @@ func simulateDirect(cr *CompiledRun, cfg RunConfig) *Result {
 		case ckCkpt:
 			var dt float64
 			if cfg.MonteCarlo {
-				dt = c.model.Sample(c.params, rng) // one coordinated draw
+				dt = c.sample(rng) // one coordinated draw
 			} else {
 				dt = c.detCost
 			}
@@ -366,18 +387,19 @@ func simulateDirect(cr *CompiledRun, cfg RunConfig) *Result {
 	return res
 }
 
-// modelSigma estimates a model's relative spread at params by drawing a
-// handful of samples. For symreg.Fitted this recovers ResidualSigma; for
-// tables it reflects the stored sample spread. mean must be the model's
-// Predict(p) value (callers pass the precomputed per-instruction cost).
-func modelSigma(m perfmodel.Model, p perfmodel.Params, mean float64, rng *stats.RNG) float64 {
+// modelSigma estimates the relative spread of a ckComp instruction's
+// model at its params by drawing a handful of samples around detCost.
+// For symreg.Fitted this recovers ResidualSigma; for tables it reflects
+// the stored sample spread.
+func modelSigma(c *cinstr, rng *stats.RNG) float64 {
+	mean := c.detCost
 	if mean <= 0 {
 		return 0
 	}
 	const probes = 8
 	var ss float64
 	for i := 0; i < probes; i++ {
-		r := m.Sample(p, rng) / mean
+		r := c.sample(rng) / mean
 		if r <= 0 {
 			continue
 		}

@@ -2,6 +2,7 @@ package besst
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"besst/internal/beo"
@@ -10,6 +11,7 @@ import (
 	"besst/internal/machine"
 	"besst/internal/perfmodel"
 	"besst/internal/stats"
+	"besst/internal/symreg"
 )
 
 var cfg = fti.Config{GroupSize: 4, NodeSize: 2}
@@ -229,16 +231,124 @@ func TestCommCostPatterns(t *testing.T) {
 	}
 }
 
+// compiledOps compiles a 50-step L1 LULESH run with m bound to both
+// the timestep and the L1 checkpoint op, and returns its first compute
+// and first checkpoint instruction as Compile resolved them.
+func compiledOps(t *testing.T, m perfmodel.Model) (comp, ckpt *cinstr) {
+	t.Helper()
+	arch := constArch(0.01, 0.1, 0)
+	arch.Bind(lulesh.OpTimestep, m)
+	arch.Bind(lulesh.OpCkptL1, m)
+	cr := Compile(lulesh.App(10, 8, 50, lulesh.ScenarioL1, cfg), arch)
+	for i := range cr.prog {
+		c := &cr.prog[i]
+		switch {
+		case c.kind == ckComp && comp == nil:
+			comp = c
+		case c.kind == ckCkpt && ckpt == nil:
+			ckpt = c
+		}
+	}
+	if comp == nil || ckpt == nil {
+		t.Fatal("program lacks a compute or a checkpoint instruction")
+	}
+	return comp, ckpt
+}
+
+// TestSampleMatchesModelSample pins the hoisted Monte Carlo draw: from
+// twin RNGs, cinstr.sample returns exactly what the bound model's
+// Sample does and leaves both RNGs in the same state, for every model
+// kind — log-normal models through the precomputed mean, the others
+// (tables, constants) by asking the model.
+func TestSampleMatchesModelSample(t *testing.T) {
+	fitted := func(sigma float64) *symreg.Fitted {
+		return &symreg.Fitted{
+			Label: "fit",
+			Expr: &symreg.Node{Op: symreg.OpMul,
+				L: &symreg.Node{Op: symreg.OpCube, L: &symreg.Node{Op: symreg.OpVar, VarIndex: 0}},
+				R: &symreg.Node{Op: symreg.OpVar, VarIndex: 1},
+			},
+			VarNames:      []string{"epr", "ranks"},
+			ResidualSigma: sigma,
+			XScale:        []float64{3, 7},
+			YScale:        1e-4,
+		}
+	}
+	epr := func(p perfmodel.Params) float64 { return 1e-4 * p.Get("epr") }
+	table := perfmodel.NewTable("tab", "epr", "ranks")
+	for _, v := range []float64{0.011, 0.009, 0.013} {
+		table.Add(perfmodel.Params{"epr": 10, "ranks": 8}, v)
+		table.Add(perfmodel.Params{"epr": 20, "ranks": 8}, 2*v)
+	}
+	cases := []struct {
+		name      string
+		m         perfmodel.Model
+		logNormal bool
+	}{
+		{"fitted", fitted(0.07), true},
+		{"fitted_sigma0", fitted(0), true},
+		{"func_noise", perfmodel.Func{Label: "f", F: epr, NoiseSigma: 0.2}, true},
+		{"func_plain", perfmodel.Func{Label: "f", F: epr}, true},
+		{"constant", perfmodel.Constant{Label: "c", Seconds: 0.3}, false},
+		{"table", table, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			comp, ckpt := compiledOps(t, tc.m)
+			for _, c := range []*cinstr{comp, ckpt} {
+				if c.logNormal != tc.logNormal {
+					t.Fatalf("logNormal = %v, want %v", c.logNormal, tc.logNormal)
+				}
+				a, b := stats.NewRNG(9), stats.NewRNG(9)
+				for i := 0; i < 64; i++ {
+					got, want := c.sample(a), tc.m.Sample(c.params, b)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("draw %d: sample %v, model Sample %v", i, got, want)
+					}
+					if *a != *b {
+						t.Fatalf("draw %d: RNG states diverged", i)
+					}
+				}
+			}
+		})
+	}
+}
+
 func TestModelSigmaRecoversNoise(t *testing.T) {
-	m := perfmodel.Func{Label: "f", F: func(perfmodel.Params) float64 { return 1 }, NoiseSigma: 0.2}
+	one := func(perfmodel.Params) float64 { return 1 }
+	noisy, _ := compiledOps(t, perfmodel.Func{Label: "f", F: one, NoiseSigma: 0.2})
 	rng := stats.NewRNG(4)
-	got := modelSigma(m, perfmodel.Params{}, m.Predict(perfmodel.Params{}), rng)
-	if got < 0.05 || got > 0.5 {
+	if got := modelSigma(noisy, rng); got < 0.05 || got > 0.5 {
 		t.Fatalf("sigma estimate %v far from 0.2", got)
 	}
-	c := perfmodel.Constant{Seconds: 1}
-	if s := modelSigma(c, perfmodel.Params{}, c.Predict(perfmodel.Params{}), rng); s != 0 {
+	constant, _ := compiledOps(t, perfmodel.Constant{Seconds: 1})
+	if s := modelSigma(constant, rng); s != 0 {
 		t.Fatalf("constant model sigma = %v", s)
+	}
+}
+
+// TestDESIgnoresPerRankNoise pins that the PerRankNoise flag does not
+// reach DES mode: every DES rank already draws from its own stream, so
+// results are byte-equal with the flag on and off.
+func TestDESIgnoresPerRankNoise(t *testing.T) {
+	app := lulesh.App(10, 64, 50, lulesh.ScenarioL1L2, cfg)
+	arch := constArch(0.01, 0.1, 0.2)
+	arch.Bind(lulesh.OpTimestep, perfmodel.Func{Label: "ts",
+		F: func(perfmodel.Params) float64 { return 0.01 }, NoiseSigma: 0.05})
+	cr := Compile(app, arch)
+	payloads := func(perRank bool) []string {
+		var out []string
+		for _, r := range cr.Replicate(4, WithMode(DES), WithSeed(7), WithPerRankNoise(perRank)) {
+			doc, err := r.Payload()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, string(doc))
+		}
+		return out
+	}
+	if on, off := payloads(true), payloads(false); !reflect.DeepEqual(on, off) {
+		t.Fatalf("DES results depend on PerRankNoise:\n on: %v\noff: %v", on, off)
 	}
 }
 

@@ -179,7 +179,7 @@ func (rc *rankComp) HandleEvent(ctx *des.Context, ev des.Event) {
 			rc.pc++
 			var dt float64
 			if s.cfg.MonteCarlo {
-				dt = c.model.Sample(c.params, rc.rng)
+				dt = c.sample(rc.rng)
 			} else {
 				dt = c.detCost
 			}
@@ -237,7 +237,7 @@ func (cc *coordComp) HandleEvent(ctx *des.Context, ev des.Event) {
 		cost = c.detCost
 	case ckCkpt:
 		if s.cfg.MonteCarlo {
-			cost = c.model.Sample(c.params, cc.rng) // one coordinated draw
+			cost = c.sample(cc.rng) // one coordinated draw
 		} else {
 			cost = c.detCost
 		}

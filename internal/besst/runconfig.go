@@ -20,9 +20,10 @@ type RunConfig struct {
 	MonteCarlo bool
 	// Seed drives all randomness.
 	Seed uint64
-	// PerRankNoise controls whether compute blocks draw independent
-	// noise per rank (the step then completes at the slowest rank).
-	// Ignored when MonteCarlo is false.
+	// PerRankNoise controls whether Direct-mode compute blocks draw
+	// independent noise per rank (the step then completes at the
+	// slowest rank). It is ignored when MonteCarlo is false, and always
+	// in DES mode, where every rank draws from its own stream anyway.
 	PerRankNoise bool
 	// Workers bounds Monte Carlo replication concurrency. Values <= 0
 	// select runtime.GOMAXPROCS workers; 1 forces serial execution.
@@ -71,8 +72,9 @@ func WithSeed(seed uint64) Option { return func(c *RunConfig) { c.Seed = seed } 
 // instead of deterministic Predict values. Replicate implies it.
 func WithMonteCarlo(on bool) Option { return func(c *RunConfig) { c.MonteCarlo = on } }
 
-// WithPerRankNoise enables independent per-rank compute noise (the
-// step then completes at the slowest rank).
+// WithPerRankNoise enables independent per-rank compute noise in
+// Direct mode (the step then completes at the slowest rank); DES ranks
+// always draw independently.
 func WithPerRankNoise(on bool) Option { return func(c *RunConfig) { c.PerRankNoise = on } }
 
 // WithConcurrency bounds the replication worker count. Values <= 0

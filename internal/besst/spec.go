@@ -23,7 +23,8 @@ type RunSpec struct {
 	MonteCarlo bool `json:"monte_carlo,omitempty"`
 	// Seed is the master random seed (0: derive from the request hash).
 	Seed uint64 `json:"seed,omitempty"`
-	// PerRankNoise enables independent per-rank compute noise.
+	// PerRankNoise enables independent per-rank compute noise in
+	// Direct mode; DES ignores it (see RunConfig.PerRankNoise).
 	PerRankNoise bool `json:"per_rank_noise,omitempty"`
 	// Workers bounds replication concurrency. It is part of the spec
 	// because it is part of RunConfig, but results are byte-identical

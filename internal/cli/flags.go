@@ -14,11 +14,14 @@ import (
 	"besst/internal/resilience"
 )
 
-// CommonFlags is the flag set shared by every besst command: worker
-// and seed control, machine-readable output, and the observability
-// switches (tracing, metrics, profiling). Register it with
-// RegisterCommon so the six mains stop carrying drift-prone copies of
-// the same flag block.
+// CommonFlags is the flag set shared by every besst command: seed
+// control, machine-readable output, and the observability switches
+// (tracing, metrics, profiling). Register it with RegisterCommon so the
+// mains stop carrying drift-prone copies of the same flag block. The
+// campaign flags (worker count, checkpointing, chaos) are registered
+// separately, by RegisterCampaign, and only in the tools that run a
+// campaign; a tool without one rejects them as unknown flags instead
+// of accepting and ignoring them.
 type CommonFlags struct {
 	// Workers bounds worker-pool concurrency (<= 0: GOMAXPROCS).
 	Workers int
@@ -64,8 +67,6 @@ type CommonFlags struct {
 // in a main) and returns the bound struct.
 func RegisterCommon(fs *flag.FlagSet) *CommonFlags {
 	f := &CommonFlags{}
-	fs.IntVar(&f.Workers, "workers", 0,
-		"concurrent workers (<=0: GOMAXPROCS); results are identical for every worker count")
 	fs.Uint64Var(&f.Seed, "seed", 42, "master random seed")
 	fs.BoolVar(&f.JSON, "json", false, "emit machine-readable JSON output where the tool defines one")
 	fs.StringVar(&f.Trace, "trace", "",
@@ -76,6 +77,16 @@ func RegisterCommon(fs *flag.FlagSet) *CommonFlags {
 		"write run metrics JSON to this path (or METRICS_<tool>.json inside this directory)")
 	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a pprof CPU profile to this path")
 	fs.StringVar(&f.MemProfile, "memprofile", "", "write a pprof heap profile to this path")
+	return f
+}
+
+// RegisterCampaign registers the campaign flags on fs, bound to f:
+// worker count, checkpoint journal, resume, fsync cadence and chaos
+// injection. Only tools that run a campaign (besst-sim, besst-dse)
+// call it.
+func (f *CommonFlags) RegisterCampaign(fs *flag.FlagSet) {
+	fs.IntVar(&f.Workers, "workers", 0,
+		"concurrent workers (<=0: GOMAXPROCS); results are identical for every worker count")
 	fs.StringVar(&f.Ckpt, "ckpt", "",
 		"checkpoint the campaign to this journal (or CKPT_<tool>.jsonl inside this directory)")
 	fs.BoolVar(&f.Resume, "resume", false,
@@ -84,7 +95,6 @@ func RegisterCommon(fs *flag.FlagSet) *CommonFlags {
 		"fsync the checkpoint journal every N completed trials (<=0: every trial)")
 	fs.Float64Var(&f.Chaos, "chaos", 0,
 		"inject deterministic panics and delays into each trial at this rate (testing the fault envelope)")
-	return f
 }
 
 // Session is the live observability state behind one command run:

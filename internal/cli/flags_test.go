@@ -2,7 +2,9 @@ package cli
 
 import (
 	"flag"
+	"io"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"besst/internal/obs"
@@ -12,6 +14,7 @@ func sessionWith(t *testing.T, args ...string) *Session {
 	t.Helper()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	f := RegisterCommon(fs)
+	f.RegisterCampaign(fs)
 	if err := fs.Parse(args); err != nil {
 		t.Fatalf("parse %v: %v", args, err)
 	}
@@ -36,6 +39,23 @@ func TestCampaignEnabled(t *testing.T) {
 	for _, c := range cases {
 		if got := sessionWith(t, c.args...).CampaignEnabled(); got != c.want {
 			t.Errorf("CampaignEnabled(%v) = %v, want %v", c.args, got, c.want)
+		}
+	}
+}
+
+// TestToolWithoutCampaignRejectsCampaignFlags pins that the campaign
+// flags exist only where RegisterCampaign put them: a tool with the
+// common flags alone refuses them instead of ignoring them.
+func TestToolWithoutCampaignRejectsCampaignFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-chaos", "0.9"}, {"-ckpt", "results"}, {"-resume"}, {"-ckpt-every", "3"}, {"-workers", "2"},
+	} {
+		fs := flag.NewFlagSet("besst-bench", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		RegisterCommon(fs)
+		err := fs.Parse(args)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+args[0]) {
+			t.Errorf("parse %v: err = %v, want an unknown-flag error", args, err)
 		}
 	}
 }

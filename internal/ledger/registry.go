@@ -34,6 +34,7 @@ type Entry struct {
 var Registry = []Entry{
 	micro("des/DESDispatch/ring64", benchDispatch),
 	macro("besst/MonteCarloDirect/serial", monteCarloDirect),
+	macro("besst/MonteCarloDES/serial", monteCarloDES),
 	macro("dse/OverheadSweep/serial", overheadSweep),
 	{Name: "dse/Search/grid45/budget0.4", Measure: searchQuality},
 }
@@ -163,6 +164,20 @@ func monteCarloDirect() func() {
 		besst.WithSeed(42), besst.WithConcurrency(1),
 	}
 	return func() { cr.Replicate(32, opts...) }
+}
+
+// monteCarloDES is 4 serial DES-mode Monte Carlo trials of perfbench's
+// mc-des-dist application (LULESH epr 10, 64 ranks, 200 steps, L1+L2
+// checkpoints): every collective is a burst of 64 arrivals and 64
+// releases at one timestamp, the traffic the event queue coalesces.
+func monteCarloDES() func() {
+	em, models := caseStudy()
+	app := lulesh.App(10, 64, 200, lulesh.ScenarioL1L2, em.Cost.Config)
+	arch := beo.NewArchBEO(em.M, em.Cost.Config.NodeSize)
+	workflow.BindLulesh(arch, models)
+	cr := besst.Compile(app, arch)
+	opts := []besst.Option{besst.WithMode(besst.DES), besst.WithSeed(42), besst.WithConcurrency(1)}
+	return func() { cr.Replicate(4, opts...) }
 }
 
 // overheadSweep is a serial 12-point DSE overhead sweep.

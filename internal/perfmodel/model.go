@@ -72,6 +72,18 @@ type Model interface {
 	Name() string
 }
 
+// LogNormal is implemented by models whose every Monte Carlo draw is
+// the prediction scaled by one multiplicative log-normal factor: for
+// all p and rng, Sample(p, rng) == Predict(p) * rng.LogNormal(0,
+// LogSigma()) bit for bit, and Sample draws nothing from rng when
+// LogSigma() is 0. LogSigma must not be negative. A caller that has
+// already computed Predict(p) can then draw a sample without evaluating
+// the model again.
+type LogNormal interface {
+	Model
+	LogSigma() float64
+}
+
 // Constant is a trivial model returning a fixed duration; useful for
 // fixed overheads and in tests.
 type Constant struct {
@@ -113,3 +125,12 @@ func (f Func) Sample(p Params, rng *stats.RNG) float64 {
 
 // Name implements Model.
 func (f Func) Name() string { return f.Label }
+
+// LogSigma implements LogNormal. F must be a pure function of its
+// parameters for the contract to hold.
+func (f Func) LogSigma() float64 {
+	if f.NoiseSigma > 0 {
+		return f.NoiseSigma
+	}
+	return 0
+}

@@ -156,6 +156,15 @@ func (f *Fitted) Sample(p perfmodel.Params, rng *stats.RNG) float64 {
 	return v
 }
 
+// LogSigma implements perfmodel.LogNormal: Sample is Predict scaled by
+// one log-normal draw of this sigma.
+func (f *Fitted) LogSigma() float64 {
+	if f.ResidualSigma > 0 {
+		return f.ResidualSigma
+	}
+	return 0
+}
+
 // Name implements perfmodel.Model.
 func (f *Fitted) Name() string { return f.Label }
 
