@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build test vet fmt lint lint-self lint-fixtures lint-fixtures-verify race perfbench-test exp-verify bench bench-compare profile trace-fixtures chaos fuzz serve-smoke dist-smoke
+.PHONY: check build test vet fmt lint lint-self lint-fixtures lint-fixtures-verify race perfbench-test exp-verify bench-compare profile trace-fixtures chaos fuzz serve-smoke dist-smoke
 
 # check is the tier-1 gate: formatting, static analysis (vet and
 # besst-lint, including the analyzer linting itself and its golden
@@ -71,9 +71,6 @@ exp-verify: build
 	@out="$$(mktemp)"; trap 'rm -f "$$out"' EXIT; \
 	$(GO) run ./cmd/besst-exp > "$$out" && cmp "$$out" results/besst-exp-full.txt
 
-bench:
-	$(GO) test -run xxx -bench . -benchtime 1x .
-
 # bench-compare is the benchmark-ledger gate: besst-bench -ledger runs
 # every registry entry in internal/ledger once, writes the gitignored
 # results/BENCH.json, and fails on any regression against the committed
@@ -123,13 +120,16 @@ dist-smoke: build
 # (torn tails, garbage lines), the AppBEO JSON decoder, the
 # symbolic-regression model decoder (accepted models must Predict), the
 # serve request canonicalizer (canonical forms are fixed points and
-# hash to the input's campaign ID), and the DES event queue (every
+# hash to the input's campaign ID), the serve request planner (every
+# rejection is a 400-class error, every accepted plan has bounded
+# trials and at least one work unit), and the DES event queue (every
 # delivery in (Time, seq) order against a sorted reference).
 fuzz:
 	$(GO) test ./internal/resilience -run xxx -fuzz FuzzReadJournal -fuzztime 20s
 	$(GO) test ./internal/beo -run xxx -fuzz FuzzAppBEOJSON -fuzztime 20s
 	$(GO) test ./internal/symreg -run xxx -fuzz FuzzFittedJSON -fuzztime 20s
 	$(GO) test ./internal/serve -run xxx -fuzz FuzzCanonicalJSON -fuzztime 20s
+	$(GO) test ./internal/serve -run xxx -fuzz FuzzBuildPlan -fuzztime 20s
 	$(GO) test ./internal/des -run xxx -fuzz FuzzEventQueue -fuzztime 20s
 
 # profile captures a full observability bundle from a small DES run:

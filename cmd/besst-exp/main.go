@@ -1,10 +1,12 @@
 // Command besst-exp reproduces the paper's tables and figures plus the
 // extension experiments. With no flags it runs everything; individual
-// experiments are selected with -table, -fig, and -ext.
+// experiments are selected with -table, -fig, and -ext. The default run
+// prints the design-choice ablations last.
 //
 //	besst-exp -table 3          # instance-model MAPE (Table III)
 //	besst-exp -fig 9            # overhead tables (Fig 9)
 //	besst-exp -ext faults       # fault-injection Cases 1-4
+//	besst-exp -ext ablations    # design-choice ablations (DESIGN.md)
 //	besst-exp -quick            # reduced Monte Carlo counts
 //	besst-exp -quick -json      # JSON index of experiments run + wall times
 package main
@@ -14,6 +16,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 
 	"besst/internal/besst"
 	"besst/internal/cli"
@@ -23,11 +27,21 @@ import (
 func main() {
 	table := flag.Int("table", 0, "reproduce one table (1-4); 0 = all")
 	fig := flag.Int("fig", 0, "reproduce one figure (1, 5-9); 0 = all")
-	ext := flag.String("ext", "", "extension experiment: faults | analytic | levels | optlevel | algdse | archdse")
+	exts := []string{"faults", "analytic", "levels", "optlevel", "algdse", "archdse", "ablations"}
+	ext := flag.String("ext", "", "extension experiment: "+strings.Join(exts, " | "))
 	quick := flag.Bool("quick", false, "reduced sample and Monte Carlo counts")
 	common := cli.RegisterCommon(flag.CommandLine)
 	flag.Parse()
 	seed := &common.Seed
+	if *table < 0 || *table > 4 {
+		fatalf("unknown -table %d (want 1-4)", *table)
+	}
+	if *fig != 0 && *fig != 1 && (*fig < 5 || *fig > 9) {
+		fatalf("unknown -fig %d (want 1 or 5-9)", *fig)
+	}
+	if *ext != "" && !slices.Contains(exts, *ext) {
+		fatalf("unknown -ext %q (want %s)", *ext, strings.Join(exts, " | "))
+	}
 
 	samples, mc, steps := 10, 10, 200
 	if *quick {
@@ -63,12 +77,9 @@ func main() {
 		done()
 	}
 	var ctx *exp.Context
-	needCtx := selected("table", 3, "") || selected("table", 4, "") ||
-		selected("fig", 5, "") || selected("fig", 6, "") || selected("fig", 7, "") ||
-		selected("fig", 8, "") || selected("fig", 9, "") ||
-		selected("ext", 0, "faults") || selected("ext", 0, "analytic") ||
-		selected("ext", 0, "levels") || selected("ext", 0, "optlevel") ||
-		selected("ext", 0, "algdse") || selected("ext", 0, "archdse")
+	// Every experiment but Tables I-II and Fig 1 reads the case-study
+	// models.
+	needCtx := *ext != "" || *table > 2 || *fig > 1 || (*table == 0 && *fig == 0)
 	if needCtx {
 		w.Printf("developing case-study models (%d samples/combination, seed %d)...\n\n", samples, *seed)
 		phase("develop-models", func() { ctx = exp.NewContext(samples, *seed) })
@@ -172,6 +183,11 @@ func main() {
 			exp.FormatAnalyticStudy(w, exp.AnalyticStudy(ctx, 1e-5,
 				[]int{64, 512, 4096, 32768, 262144, 1 << 20}))
 		})
+		w.Println()
+	}
+	if selected("ext", 0, "ablations") {
+		w.Println("running design-choice ablations...")
+		phase("ext-ablations", func() { exp.FormatAblations(w, exp.Ablations(ctx)) })
 		w.Println()
 	}
 	if common.JSON {

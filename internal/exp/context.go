@@ -1,15 +1,13 @@
 // Package exp regenerates every table and figure of the paper's
 // evaluation, plus the extension experiments DESIGN.md commits to
 // (fault injection — the paper's Cases 2 and 4 — and the analytic
-// baselines of the related-work section). Each experiment returns
-// structured results and has a Format function used by cmd/besst-exp;
-// the per-experiment index lives in DESIGN.md and the measured-vs-paper
-// record in EXPERIMENTS.md.
+// baselines of the related-work section) and the design-choice
+// ablations. Each experiment returns structured results and has a
+// Format function used by cmd/besst-exp; the per-experiment index lives
+// in DESIGN.md and the measured-vs-paper record in EXPERIMENTS.md.
 package exp
 
 import (
-	"sync"
-
 	"besst/internal/benchdata"
 	"besst/internal/groundtruth"
 	"besst/internal/workflow"
@@ -49,18 +47,4 @@ func NewContext(samplesPer int, seed uint64) *Context {
 		SamplesPer: samplesPer,
 		Seed:       seed,
 	}
-}
-
-var (
-	defaultOnce sync.Once
-	defaultCtx  *Context
-)
-
-// Default returns a lazily built, shared context with the standard
-// reproduction parameters (10 samples per combination, seed 42).
-func Default() *Context {
-	defaultOnce.Do(func() {
-		defaultCtx = NewContext(10, 42)
-	})
-	return defaultCtx
 }

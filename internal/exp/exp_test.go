@@ -298,7 +298,7 @@ func TestFaultStudyShape(t *testing.T) {
 	if len(rows) != 5 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	case1, case2, case3, case4 := rows[0], rows[1], rows[2], rows[3]
+	case1, case2, case3, case4, case4b := rows[0], rows[1], rows[2], rows[3], rows[4]
 	if case1.Faults != 0 || case3.Faults != 0 {
 		t.Fatal("no-fault cases saw faults")
 	}
@@ -311,10 +311,41 @@ func TestFaultStudyShape(t *testing.T) {
 	if case4.MeanWall >= case2.MeanWall {
 		t.Fatalf("FT should pay off under faults: %v vs %v", case4.MeanWall, case2.MeanWall)
 	}
+	if case4b.MeanWall >= case4.MeanWall {
+		t.Fatalf("the Daly period should beat the fixed 40-step period: %v vs %v", case4b.MeanWall, case4.MeanWall)
+	}
 	var b strings.Builder
 	FormatFaultStudy(&b, rows)
 	if !strings.Contains(b.String(), "Case 4") {
 		t.Fatal("fault study rendering broken")
+	}
+}
+
+func TestAblationsShape(t *testing.T) {
+	r := Ablations(testCtx(t))
+	if r.ContendedSec < r.IndependentSec {
+		t.Fatalf("contention made the slowest flow faster: %v < %v", r.ContendedSec, r.IndependentSec)
+	}
+	// Max-min sharing never finishes before the analytic bound; on
+	// this traffic the two tie.
+	if r.FlowLevelSec < r.AnalyticSec*(1-1e-9) {
+		t.Fatalf("flow-level makespan %v below the analytic bound %v", r.FlowLevelSec, r.AnalyticSec)
+	}
+	if len(r.MonteCarlo) != 3 {
+		t.Fatalf("Monte Carlo rows = %d", len(r.MonteCarlo))
+	}
+	if first, last := r.MonteCarlo[0], r.MonteCarlo[2]; RelSEPct(last) >= RelSEPct(first) {
+		t.Fatalf("relative standard error at n=%d (%v%%) not below n=%d (%v%%)",
+			last.N, RelSEPct(last), first.N, RelSEPct(first))
+	}
+	interp, symreg := r.Interp.Report(lulesh.OpTimestep).ValidationMAPE, r.Symreg.Report(lulesh.OpTimestep).ValidationMAPE
+	if interp >= 20 || symreg >= 20 {
+		t.Fatalf("timestep MAPE out of band: interpolation %v, symreg %v", interp, symreg)
+	}
+	var b strings.Builder
+	FormatAblations(&b, r)
+	if !strings.Contains(b.String(), "Ablations: design choices") {
+		t.Fatal("ablation rendering broken")
 	}
 }
 

@@ -117,3 +117,14 @@ func TestBaselineMatchesRegistry(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkLedger times every timing entry of the benchmark ledger, the
+// same bodies `besst-bench -ledger` gates against the committed
+// baseline.
+func BenchmarkLedger(b *testing.B) {
+	for _, e := range Registry {
+		if e.Bench != nil {
+			b.Run(e.Name, e.Bench)
+		}
+	}
+}

@@ -2,13 +2,14 @@ package serve
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 )
 
 // canonCases are spellings and their canonical forms; they also seed
-// FuzzCanonicalJSON.
+// FuzzCanonicalJSON and FuzzBuildPlan.
 var canonCases = []struct{ name, in, want string }{
 	{"sorted keys", `{"b":2,"a":1}`, `{"a":1,"b":2}`},
 	{"whitespace", "{\n  \"a\": 1 ,\t\"b\": [ 1 , 2 ]\n}", `{"a":1,"b":[1,2]}`},
@@ -66,6 +67,48 @@ func FuzzCanonicalJSON(f *testing.F) {
 		}
 		if idRaw != idCanon {
 			t.Fatalf("input %q and its canonical form %q hash to %s and %s", raw, c, idRaw, idCanon)
+		}
+	})
+}
+
+// FuzzBuildPlan drives arbitrary bytes through HashRequest and
+// buildPlan, the path every POST /v1/campaigns body takes. Properties:
+// it never panics, every rejection is a *badRequest (a 400, never a
+// 500), and an accepted plan has 1 <= trials <= maxTrials and at least
+// one work unit. A sweep's trials are its per-point mc_runs.
+func FuzzBuildPlan(f *testing.F) {
+	for _, tc := range canonCases {
+		f.Add([]byte(tc.in))
+	}
+	for _, req := range []string{
+		`{"kind":"single","run":{},"app":{"epr":4,"ranks":8,"steps":5,"scenario":"l1"}}`,
+		`{"kind":"monte_carlo","trials":3,"run":{"seed":7},"app":{"epr":4,"ranks":8,"steps":5,"scenario":"l1l2","period":2},"model":{"method":"interp","samples":2}}`,
+		`{"kind":"dse_sweep","run":{},"sweep":{"eprs":[5,10],"ranks":[8,27],"scenarios":["l1"],"timesteps":5,"mc_runs":1,"search":{"budget":0.5}}}`,
+	} {
+		f.Add([]byte(req))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		id, canonical, sum, err := HashRequest(raw)
+		if err != nil {
+			return
+		}
+		pl, err := buildPlan(id, sum, canonical)
+		if err != nil {
+			var br *badRequest
+			if !errors.As(err, &br) {
+				t.Fatalf("buildPlan(%q) error %v (%T) is not a *badRequest", canonical, err, err)
+			}
+			return
+		}
+		trials := pl.trials
+		if pl.req.Kind == KindSweep {
+			trials = pl.sweepCfg.MCRuns
+		}
+		if trials < 1 || trials > maxTrials {
+			t.Fatalf("buildPlan(%q) accepted %d trials, outside [1, %d]", canonical, trials, maxTrials)
+		}
+		if n := pl.units(); n < 1 {
+			t.Fatalf("buildPlan(%q) accepted a plan with %d work units", canonical, n)
 		}
 	})
 }
