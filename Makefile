@@ -122,8 +122,10 @@ dist-smoke: build
 # serve request canonicalizer (canonical forms are fixed points and
 # hash to the input's campaign ID), the serve request planner (every
 # rejection is a 400-class error, every accepted plan has bounded
-# trials and at least one work unit), and the DES event queue (every
-# delivery in (Time, seq) order against a sorted reference).
+# trials and at least one work unit), the DES event queue (every
+# delivery in (Time, seq) order against a sorted reference), and the
+# screened per-rank maximum (stats.RNG.MaxNormal against the per-draw
+# loop: result bits, generator state and the draws after it).
 fuzz:
 	$(GO) test ./internal/resilience -run xxx -fuzz FuzzReadJournal -fuzztime 20s
 	$(GO) test ./internal/beo -run xxx -fuzz FuzzAppBEOJSON -fuzztime 20s
@@ -131,6 +133,7 @@ fuzz:
 	$(GO) test ./internal/serve -run xxx -fuzz FuzzCanonicalJSON -fuzztime 20s
 	$(GO) test ./internal/serve -run xxx -fuzz FuzzBuildPlan -fuzztime 20s
 	$(GO) test ./internal/des -run xxx -fuzz FuzzEventQueue -fuzztime 20s
+	$(GO) test ./internal/stats -run xxx -fuzz FuzzMaxNormal -fuzztime 20s
 
 # profile captures a full observability bundle from a small DES run:
 # CPU and heap profiles, a Chrome trace, and the run-metrics document,

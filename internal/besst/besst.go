@@ -140,24 +140,34 @@ func (c *cinstr) sample(rng *stats.RNG) float64 {
 
 // compile expands the program into the flat dynamic instruction list
 // shared (read-only) by all rank components. Top-level loop iterations
-// get step-end markers for the Figs 7-8 time series.
-func compile(app *beo.AppBEO) []cinstr {
+// get step-end markers for the Figs 7-8 time series. It also returns
+// the number of synchronization instances (syncIDs 0..syncs-1). The
+// walk runs twice: the first pass only counts, so the second fills a
+// slice of exactly the expanded length without growing it.
+func compile(app *beo.AppBEO) (prog []cinstr, syncs int) {
 	var out []cinstr
-	syncID := 0
+	n, syncID, counting := 0, 0, true
+	push := func(c cinstr) {
+		if counting {
+			n++
+		} else {
+			out = append(out, c)
+		}
+	}
 	var emit func(is []beo.Instr, iter int, topLevel bool)
 	emit = func(is []beo.Instr, iter int, topLevel bool) {
 		for _, in := range is {
 			switch v := in.(type) {
 			case beo.Comp:
-				out = append(out, cinstr{kind: ckComp, op: v.Op, params: v.Params})
+				push(cinstr{kind: ckComp, op: v.Op, params: v.Params})
 			case beo.Comm:
-				out = append(out, cinstr{
+				push(cinstr{
 					kind: ckComm, pattern: v.Pattern, bytes: v.Bytes,
 					neighbors: v.Neighbors, syncID: syncID,
 				})
 				syncID++
 			case beo.Ckpt:
-				out = append(out, cinstr{
+				push(cinstr{
 					kind: ckCkpt, op: v.Op, params: v.Params,
 					level: v.Level, syncID: syncID,
 				})
@@ -166,7 +176,7 @@ func compile(app *beo.AppBEO) []cinstr {
 				for i := 0; i < v.Count; i++ {
 					emit(v.Body, i, false)
 					if topLevel {
-						out = append(out, cinstr{kind: ckStepEnd, step: i})
+						push(cinstr{kind: ckStepEnd, step: i})
 					}
 				}
 			case beo.Periodic:
@@ -182,7 +192,9 @@ func compile(app *beo.AppBEO) []cinstr {
 		}
 	}
 	emit(app.Program, 0, true)
-	return out
+	out, syncID, counting = make([]cinstr, 0, n), 0, false
+	emit(app.Program, 0, true)
+	return out, syncID
 }
 
 // commCost returns the deterministic network cost of a communication
@@ -255,10 +267,12 @@ func Compile(app *beo.AppBEO, arch *beo.ArchBEO) *CompiledRun {
 
 // newCompiledRun builds the run object from validated inputs.
 func newCompiledRun(app *beo.AppBEO, arch *beo.ArchBEO) *CompiledRun {
+	prog, syncs := compile(app)
 	cr := &CompiledRun{
-		app:  app,
-		arch: arch,
-		prog: compile(app),
+		app:     app,
+		arch:    arch,
+		prog:    prog,
+		syncIdx: make([]int32, 0, syncs),
 	}
 	net := arch.Machine.Network()
 	// Loop expansion repeats the same (op, params) pair once per

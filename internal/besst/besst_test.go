@@ -38,11 +38,11 @@ func commFree(arch *beo.ArchBEO) *beo.ArchBEO {
 
 func TestCompileCounts(t *testing.T) {
 	app := lulesh.App(10, 64, 200, lulesh.ScenarioL1, cfg)
-	prog := compile(app)
+	prog, syncs := compile(app)
 	// Per step: comp + halo + allreduce (+ ckpt on 5 steps) + stepEnd.
 	want := 200*4 + 5
-	if len(prog) != want {
-		t.Fatalf("compiled length %d, want %d", len(prog), want)
+	if len(prog) != want || cap(prog) != want {
+		t.Fatalf("compiled length %d capacity %d, want %d for both", len(prog), cap(prog), want)
 	}
 	// Sync ids must be unique and dense.
 	seen := map[int]bool{}
@@ -54,8 +54,8 @@ func TestCompileCounts(t *testing.T) {
 			seen[c.syncID] = true
 		}
 	}
-	if len(seen) != 200*2+5 {
-		t.Fatalf("sync instances = %d", len(seen))
+	if len(seen) != 200*2+5 || syncs != len(seen) {
+		t.Fatalf("sync instances = %d, compile counted %d", len(seen), syncs)
 	}
 }
 

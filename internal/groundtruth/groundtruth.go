@@ -190,23 +190,14 @@ const MaxRankDraws = 65536
 // Each draw is LogNormal(0, sigma) = exp(Normal(0, sigma)), and exp is
 // monotone, so the maximum is taken over the normal draws and
 // exponentiated once: the same draws in the same order, the same bits
-// as exponentiating every draw. A NaN draw never wins: with a NaN sigma
-// the maximum stays -Inf and the step costs mean*0.
+// as exponentiating every draw. stats.RNG.MaxNormal takes that maximum
+// without the Log and Sqrt of any pair of draws that provably cannot
+// win, and leaves the generator as the per-draw loop would. A NaN draw
+// never wins: with a NaN sigma the maximum stays -Inf and the step
+// costs mean*0.
 func StepMax(mean, sigma float64, ranks int, rng *stats.RNG) float64 {
-	n := ranks
-	if n > MaxRankDraws {
-		n = MaxRankDraws
-	}
-	if n < 1 {
-		n = 1
-	}
-	worst := math.Inf(-1)
-	for i := 0; i < n; i++ {
-		if v := rng.Normal(0, sigma); v > worst {
-			worst = v
-		}
-	}
-	return mean * math.Exp(worst)
+	n := min(max(ranks, 1), MaxRankDraws)
+	return mean * math.Exp(rng.MaxNormal(n, sigma))
 }
 
 // FullRun executes a complete LULESH+FTI run "on the machine",

@@ -10,17 +10,20 @@ import (
 	"sync"
 	"testing"
 
+	"besst/internal/benchdata"
 	"besst/internal/beo"
 	"besst/internal/besst"
 	"besst/internal/des"
 	"besst/internal/dse"
 	"besst/internal/groundtruth"
 	"besst/internal/lulesh"
+	"besst/internal/symreg"
 	"besst/internal/workflow"
 )
 
-// Entry is one gated benchmark. Its name starts with its layer, using
-// perfbench's layer prefixes (des, besst, dse).
+// Entry is one gated benchmark. Its name starts with its layer: one
+// of perfbench's layer prefixes (des, besst, dse), or symreg for model
+// development.
 type Entry struct {
 	Name string
 	// Bench times one op per b.N iteration under `go test -bench`; it
@@ -36,6 +39,7 @@ var Registry = []Entry{
 	macro("besst/MonteCarloDirect/serial", monteCarloDirect),
 	macro("besst/MonteCarloDES/serial", monteCarloDES),
 	macro("dse/OverheadSweep/serial", overheadSweep),
+	macro("symreg/Fit/casestudy", fitCaseStudy),
 	{Name: "dse/Search/grid45/budget0.4", Measure: searchQuality},
 }
 
@@ -193,6 +197,25 @@ func overheadSweep() func() {
 		Workers:   1,
 	}
 	return func() { dse.OverheadSweep(models, em.M, em.Cost.Config.NodeSize, cfg) }
+}
+
+// fitCaseStudy develops the case study's three op models (LULESH
+// timestep and FTI L1/L2 checkpoints over epr and ranks, 5 samples per
+// configuration) the way workflow.Develop does: an 80/20 split and a
+// default-options symreg.Fit per op.
+func fitCaseStudy() func() {
+	c := benchdata.CollectLulesh(groundtruth.NewQuartz(), benchdata.CaseStudyPlan(5, 1))
+	ops := c.Ops()
+	trains := make([]symreg.Dataset, len(ops))
+	tests := make([]symreg.Dataset, len(ops))
+	for i, op := range ops {
+		trains[i], tests[i] = c.Dataset(op, "epr", "ranks").Split(0.2, uint64(i))
+	}
+	return func() {
+		for i, op := range ops {
+			symreg.Fit(op, trains[i], tests[i], symreg.Options{Seed: uint64(i)})
+		}
+	}
 }
 
 // searchQuality measures the surrogate search, not its wall time. It

@@ -173,6 +173,7 @@ func (f *Fitted) String() string { return f.Expr.String(f.VarNames) }
 
 type individual struct {
 	g       genome
+	hash    uint64  // g.hash()
 	fitness float64 // MAPE + parsimony penalty
 	rawMAPE float64
 }
@@ -298,6 +299,7 @@ type evolver struct {
 	nvars     int
 	train     *evaluator // fitness on the scaled training set
 	pop, next []individual
+	parents   parentIndex // the breeding generation, by genome
 }
 
 func newEvolver(train Dataset, opt Options) *evolver {
@@ -314,6 +316,66 @@ func newEvolver(train Dataset, opt Options) *evolver {
 func (e *evolver) score(ind *individual) {
 	ind.rawMAPE = e.train.mape(ind.g)
 	ind.fitness = ind.rawMAPE + e.opt.ParsimonyCoeff*float64(len(ind.g))
+}
+
+// scoreChild scores a bred child. Fitness is a pure function of the
+// genes, so a child whose genes equal a parent's exactly takes that
+// parent's fitness instead of being evaluated again — bit for bit the
+// value score would compute.
+func (e *evolver) scoreChild(child *individual) {
+	child.hash = child.g.hash()
+	if p := e.parents.find(child.g, child.hash); p != nil {
+		child.fitness, child.rawMAPE = p.fitness, p.rawMAPE
+		return
+	}
+	e.score(child)
+}
+
+// parentIndex finds, within one generation, an individual whose genes
+// equal a given genome: an open-addressing table of population indices
+// keyed by genome hash, at most half full. It is rebuilt for every
+// generation, so it holds O(PopSize) entries.
+type parentIndex struct {
+	pop   []individual
+	slots []int32 // index+1 into pop; 0 marks an empty slot
+}
+
+// reset indexes pop, keeping one individual per distinct genome.
+func (x *parentIndex) reset(pop []individual) {
+	x.pop = pop
+	n := 1
+	for n < 2*len(pop) {
+		n <<= 1
+	}
+	if len(x.slots) != n {
+		x.slots = make([]int32, n)
+	} else {
+		clear(x.slots)
+	}
+	mask := uint64(n - 1)
+	for i := range pop {
+		j := pop[i].hash & mask
+		for ; x.slots[j] != 0; j = (j + 1) & mask {
+			if o := &pop[x.slots[j]-1]; o.hash == pop[i].hash && o.g.equal(pop[i].g) {
+				break
+			}
+		}
+		if x.slots[j] == 0 {
+			x.slots[j] = int32(i + 1)
+		}
+	}
+}
+
+// find returns an indexed individual whose genes equal g exactly, or
+// nil. h is g's hash; a hash match alone is never enough.
+func (x *parentIndex) find(g genome, h uint64) *individual {
+	mask := uint64(len(x.slots) - 1)
+	for j := h & mask; x.slots[j] != 0; j = (j + 1) & mask {
+		if p := &x.pop[x.slots[j]-1]; p.hash == h && p.g.equal(g) {
+			return p
+		}
+	}
+	return nil
 }
 
 // evolve runs one GP restart and returns its best individual, whose
@@ -338,6 +400,7 @@ func (e *evolver) evolve(rng *stats.RNG, warm genome) individual {
 			depth := 2 + i%(opt.MaxDepth-1)
 			ind.g = appendRandom(ind.g[:0], rng, e.nvars, depth, i%2 == 0, opt.ConstMin, opt.ConstMax)
 		}
+		ind.hash = ind.g.hash()
 		e.score(ind)
 	}
 
@@ -361,9 +424,10 @@ func (e *evolver) evolve(rng *stats.RNG, warm genome) individual {
 
 	next := e.next
 	for gen := 0; gen < opt.Generations; gen++ {
+		e.parents.reset(pop)
 		// Elitism. best's genome lives in pop's storage, which the
 		// generation after this one overwrites, so next[0] takes a copy.
-		next[0] = individual{g: append(next[0].g[:0], best.g...), fitness: best.fitness, rawMAPE: best.rawMAPE}
+		next[0] = individual{g: append(next[0].g[:0], best.g...), hash: best.hash, fitness: best.fitness, rawMAPE: best.rawMAPE}
 		best = next[0]
 		for k := 1; k < len(next); k++ {
 			child := &next[k]
@@ -376,7 +440,7 @@ func (e *evolver) evolve(rng *stats.RNG, warm genome) individual {
 			case roll < opt.CrossoverProb+opt.MutateProb:
 				child.g = mutate(child.g, p1.g, e.nvars, opt, rng)
 			default: // reproduction: the clone keeps its parent's fitness
-				*child = individual{g: append(child.g[:0], p1.g...), fitness: p1.fitness, rawMAPE: p1.rawMAPE}
+				*child = individual{g: append(child.g[:0], p1.g...), hash: p1.hash, fitness: p1.fitness, rawMAPE: p1.rawMAPE}
 				scored = true
 			}
 			if child.g.depth() > opt.MaxDepth {
@@ -384,7 +448,7 @@ func (e *evolver) evolve(rng *stats.RNG, warm genome) individual {
 				scored = false
 			}
 			if !scored {
-				e.score(child)
+				e.scoreChild(child)
 			}
 			if child.fitness < best.fitness {
 				best = *child

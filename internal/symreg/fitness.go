@@ -19,6 +19,11 @@ type evaluator struct {
 	zero []bool // rows whose zero target MAPE skips
 	n    int    // rows MAPE averages over
 
+	// unary[op-OpSq][j] is unary op applied to column x[j], computed
+	// once: a unary node directly over a variable reads it instead of
+	// recomputing the same column for every genome.
+	unary [OpLog - OpSq + 1][][]float64
+
 	// Evaluation stack, reused across calls: bufs[k] is the column
 	// storage of stack slot k.
 	stack []operand
@@ -43,6 +48,13 @@ func newEvaluator(ds Dataset) *evaluator {
 		for i, row := range ds.X {
 			e.x[j][i] = row[j]
 		}
+	}
+	for op := OpSq; op <= OpLog; op++ {
+		cols := make([][]float64, len(e.x))
+		for j, col := range e.x {
+			cols[j] = unaryColumn(op, make([]float64, len(col)), operand{col: col}).col
+		}
+		e.unary[op-OpSq] = cols
 	}
 	for i, y := range ds.Y {
 		e.zero[i] = stats.ApproxEqual(y, 0, 0)
@@ -105,7 +117,11 @@ func (e *evaluator) eval(g genome) operand {
 			}
 			sp++
 		case 1:
-			e.stack[sp-1] = unaryColumn(op, e.buf(sp-1), e.stack[sp-1])
+			if g[i+1].Op == OpVar {
+				e.stack[sp-1] = operand{col: e.unary[op-OpSq][g[i+1].VarIndex]}
+			} else {
+				e.stack[sp-1] = unaryColumn(op, e.buf(sp-1), e.stack[sp-1])
+			}
 		default:
 			sp--
 			e.stack[sp-1] = binaryColumn(op, e.buf(sp-1), e.stack[sp], e.stack[sp-1])

@@ -68,8 +68,18 @@ func TestColumnFitnessMatchesRowwise(t *testing.T) {
 		// One evaluator per dataset, as in a GP restart: its reused
 		// stack must not leak state from one tree into the next.
 		e := newEvaluator(ds)
-		for tree := 0; tree < 4; tree++ {
-			g := appendRandom(nil, rng, nvars, 2+rng.Intn(6), tree%2 == 0, 0, 2)
+		for tree := 0; tree < 6; tree++ {
+			var g genome
+			switch tree {
+			case 4: // a unary node directly over a variable: the precomputed column
+				g = genome{{Op: unaryOps[rng.Intn(len(unaryOps))]}, {Op: OpVar, VarIndex: rng.Intn(nvars)}}
+			case 5: // precomputed columns as operands of a binary and a unary node
+				g = genome{{Op: binaryOps[rng.Intn(len(binaryOps))]},
+					{Op: unaryOps[rng.Intn(len(unaryOps))]}, {Op: unaryOps[rng.Intn(len(unaryOps))]}, {Op: OpVar, VarIndex: rng.Intn(nvars)},
+					{Op: unaryOps[rng.Intn(len(unaryOps))]}, {Op: OpVar, VarIndex: rng.Intn(nvars)}}
+			default:
+				g = appendRandom(nil, rng, nvars, 2+rng.Intn(6), tree%2 == 0, 0, 2)
+			}
 			got, want := e.mape(g), rowMAPE(g.node(), ds)
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("case %d/%d %s: column MAPE %v, row-wise %v", k, tree, g.node().String(ds.VarNames), got, want)
@@ -105,20 +115,85 @@ func TestColumnFitnessEdgeCases(t *testing.T) {
 		{"overflow to Inf", &Node{Op: OpCube, L: &Node{Op: OpCube, L: x}}, true},
 		{"Inf minus Inf is NaN", &Node{Op: OpSub, L: &Node{Op: OpCube, L: x}, R: &Node{Op: OpCube, L: x}}, true},
 		{"constant Inf", &Node{Op: OpCube, L: &Node{Op: OpCube, L: &Node{Op: OpCube, L: c(1e50)}}}, true},
+		{"sq of a variable", &Node{Op: OpSq, L: x}, false},
+		{"cube of a variable overflows", &Node{Op: OpCube, L: x}, true},
+		{"sqrt of a variable", &Node{Op: OpSqrt, L: x}, false},
+		{"log of a variable", &Node{Op: OpLog, L: x}, false},
+		{"sq over sqrt of a variable", &Node{Op: OpSq, L: &Node{Op: OpSqrt, L: x}}, false},
+		{"variable columns as binary operands", &Node{Op: OpDiv, L: &Node{Op: OpLog, L: x}, R: &Node{Op: OpSq, L: x}}, false},
 	}
-	for _, tc := range cases {
-		got := newEvaluator(ds).mape(appendNode(nil, tc.expr))
-		want := rowMAPE(tc.expr, ds)
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("%s: column MAPE %v, row-wise %v", tc.name, got, want)
-		}
-		if math.IsInf(got, 1) != tc.inf {
-			t.Errorf("%s: MAPE %v, want +Inf %v", tc.name, got, tc.inf)
+	// One evaluator for every case, twice over: an operator reading a
+	// precomputed variable column must never write into it.
+	shared := newEvaluator(ds)
+	for pass := 0; pass < 2; pass++ {
+		for _, tc := range cases {
+			got := shared.mape(appendNode(nil, tc.expr))
+			want := rowMAPE(tc.expr, ds)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("pass %d %s: column MAPE %v, row-wise %v", pass, tc.name, got, want)
+			}
+			if math.IsInf(got, 1) != tc.inf {
+				t.Errorf("pass %d %s: MAPE %v, want +Inf %v", pass, tc.name, got, tc.inf)
+			}
 		}
 	}
 	allZero := Dataset{VarNames: []string{"x"}, X: [][]float64{{1}, {2}}, Y: []float64{0, 0}}
 	if got := newEvaluator(allZero).mape(genome{{Op: OpVar}}); !math.IsInf(got, 1) {
 		t.Errorf("all-zero targets: MAPE %v, want +Inf", got)
+	}
+}
+
+// TestParentIndexExactMatch pins the GP's fitness reuse: a child takes
+// a parent's fitness only when their genes are equal field for field
+// (Value compared by bits), never on a hash match alone.
+func TestParentIndexExactMatch(t *testing.T) {
+	ds := Dataset{VarNames: []string{"x"}, X: [][]float64{{1}, {2}, {-3}}, Y: []float64{1, 2, 4}}
+	e := newEvolver(ds, Options{PopSize: 5}.withDefaults())
+	twoX := genome{{Op: OpMul}, {Op: OpConst, Value: 2}, {Op: OpVar}}
+	negZero := genome{{Op: OpAdd}, {Op: OpVar}, {Op: OpConst, Value: math.Copysign(0, -1)}}
+	posZero := genome{{Op: OpAdd}, {Op: OpVar}, {Op: OpConst, Value: 0}}
+	sqX := genome{{Op: OpSq}, {Op: OpVar}}
+	// Parents carry sentinel fitnesses no real score produces, so a
+	// copied fitness is told apart from a computed one. The last two
+	// lie about their hashes, so a child with those hashes meets a
+	// parent with different genes: x + 0 with a -0 constant claims the
+	// hash of x + 0, and the constant 2 claims sq(x)'s.
+	pop := []individual{
+		{g: twoX, hash: twoX.hash(), fitness: -1, rawMAPE: -1},
+		{g: negZero, hash: negZero.hash(), fitness: -2, rawMAPE: -2},
+		{g: twoX, hash: twoX.hash(), fitness: -1, rawMAPE: -1},
+		{g: negZero, hash: posZero.hash(), fitness: -3, rawMAPE: -3},
+		{g: twoX[1:2], hash: sqX.hash(), fitness: -4, rawMAPE: -4},
+	}
+	e.parents.reset(pop)
+
+	child := func(g genome) individual {
+		c := individual{g: append(genome(nil), g...)}
+		e.scoreChild(&c)
+		if c.hash != g.hash() {
+			t.Errorf("%s: child hash %#x, want %#x", g.node().String(ds.VarNames), c.hash, g.hash())
+		}
+		return c
+	}
+	if c := child(twoX); c.fitness != -1 || c.rawMAPE != -1 {
+		t.Errorf("equal genes: fitness %v/%v, want the parent's -1", c.fitness, c.rawMAPE)
+	}
+	if c := child(negZero); c.fitness != -2 {
+		t.Errorf("equal genes with a -0 constant: fitness %v, want the parent's -2", c.fitness)
+	}
+	for _, g := range []genome{posZero, sqX, twoX[1:2]} {
+		c := child(g)
+		want := individual{g: g}
+		e.score(&want)
+		if c.fitness < 0 || math.Float64bits(c.fitness) != math.Float64bits(want.fitness) ||
+			math.Float64bits(c.rawMAPE) != math.Float64bits(want.rawMAPE) {
+			t.Errorf("%v: fitness %v/%v, want it scored %v/%v", g, c.fitness, c.rawMAPE, want.fitness, want.rawMAPE)
+		}
+	}
+	for _, g := range []genome{posZero, sqX} {
+		if p := e.parents.find(g, g.hash()); p != nil {
+			t.Errorf("a hash match on different genes: %v found %v", g, p.g)
+		}
 	}
 }
 

@@ -23,6 +23,34 @@ type gene struct {
 // index Node-tree subtree selection draws.
 type genome []gene
 
+// hash returns a 64-bit hash of every field of every gene, so genomes
+// that are equal genes-for-genes (see equal) hash alike.
+func (g genome) hash() uint64 {
+	const prime = 0x100000001b3
+	h := uint64(0xcbf29ce484222325)
+	for _, x := range g {
+		h = (h ^ uint64(x.Op) ^ uint64(x.VarIndex)<<8) * prime
+		h = (h ^ math.Float64bits(x.Value)) * prime
+	}
+	return h
+}
+
+// equal reports whether g and o have the same genes exactly: the same
+// Op, VarIndex and Value bits, so -0 and +0, or NaNs with different
+// payloads, differ.
+func (g genome) equal(o genome) bool {
+	if len(g) != len(o) {
+		return false
+	}
+	for i, x := range g {
+		if x.Op != o[i].Op || x.VarIndex != o[i].VarIndex ||
+			math.Float64bits(x.Value) != math.Float64bits(o[i].Value) {
+			return false
+		}
+	}
+	return true
+}
+
 // arity returns the number of children a node of kind op has.
 func arity(op Op) int {
 	switch op {
