@@ -125,7 +125,9 @@ dist-smoke: build
 # trials and at least one work unit), the DES event queue (every
 # delivery in (Time, seq) order against a sorted reference), and the
 # screened per-rank maximum (stats.RNG.MaxNormal against the per-draw
-# loop: result bits, generator state and the draws after it).
+# loop: result bits, generator state and the draws after it), and the
+# GP column fitness over datasets with repeated input rows (MAPE bits
+# against the row-wise Node.Eval reference).
 fuzz:
 	$(GO) test ./internal/resilience -run xxx -fuzz FuzzReadJournal -fuzztime 20s
 	$(GO) test ./internal/beo -run xxx -fuzz FuzzAppBEOJSON -fuzztime 20s
@@ -134,6 +136,7 @@ fuzz:
 	$(GO) test ./internal/serve -run xxx -fuzz FuzzBuildPlan -fuzztime 20s
 	$(GO) test ./internal/des -run xxx -fuzz FuzzEventQueue -fuzztime 20s
 	$(GO) test ./internal/stats -run xxx -fuzz FuzzMaxNormal -fuzztime 20s
+	$(GO) test ./internal/symreg -run xxx -fuzz FuzzColumnFitness -fuzztime 20s
 
 # profile captures a full observability bundle from a small DES run:
 # CPU and heap profiles, a Chrome trace, and the run-metrics document,

@@ -1,7 +1,9 @@
 package symreg
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"besst/internal/stats"
 )
@@ -10,14 +12,16 @@ import (
 // each genome node is evaluated over the whole column in one loop, so
 // a fitness call runs one tight loop per node instead of one recursive
 // Node.Eval per row. A variable-free subtree folds to a scalar and is
-// never expanded into a column. The per-row arithmetic is exactly
-// Node.Eval's, and MAPE sums the rows in dataset order, so every
-// fitness is bit-identical to evaluating the tree row by row.
+// never expanded into a column. Columns hold one entry per distinct
+// input row: benchmark data times each configuration several times,
+// and rows with the same inputs get the same prediction. The per-row
+// arithmetic is exactly Node.Eval's, and MAPE sums the rows in dataset
+// order, so every fitness is bit-identical to evaluating the tree row
+// by row.
 type evaluator struct {
-	x    [][]float64 // x[j][i]: variable j of row i
-	y    []float64
-	zero []bool // rows whose zero target MAPE skips
-	n    int    // rows MAPE averages over
+	rows  int         // distinct input rows: the length of every column
+	x     [][]float64 // x[j][r]: variable j of distinct input row r
+	terms []term      // the rows MAPE sums: non-zero targets, in dataset order
 
 	// unary[op-OpSq][j] is unary op applied to column x[j], computed
 	// once: a unary node directly over a variable reads it instead of
@@ -30,6 +34,13 @@ type evaluator struct {
 	bufs  [][]float64
 }
 
+// term is one dataset row with a non-zero target: its distinct input
+// row and its target.
+type term struct {
+	row int32
+	y   float64
+}
+
 // operand is one evaluated subtree: a column, or a scalar c when the
 // subtree has no variables (col nil).
 type operand struct {
@@ -38,38 +49,75 @@ type operand struct {
 }
 
 func newEvaluator(ds Dataset) *evaluator {
-	e := &evaluator{
-		x:    make([][]float64, len(ds.VarNames)),
-		y:    ds.Y,
-		zero: make([]bool, len(ds.Y)),
+	row, k := distinctRows(ds.X)
+	// The variable columns and the unary columns over them share one
+	// allocation.
+	nvars := len(ds.VarNames)
+	cols := make([][]float64, int(OpLog-OpSq+2)*nvars)
+	data := make([]float64, len(cols)*k)
+	for c := range cols {
+		cols[c] = data[c*k : (c+1)*k : (c+1)*k]
 	}
-	for j := range e.x {
-		e.x[j] = make([]float64, len(ds.X))
-		for i, row := range ds.X {
-			e.x[j][i] = row[j]
+	e := &evaluator{rows: k, x: cols[:nvars]}
+	for i, r := range row {
+		for j, col := range e.x {
+			col[r] = ds.X[i][j]
 		}
 	}
 	for op := OpSq; op <= OpLog; op++ {
-		cols := make([][]float64, len(e.x))
+		u := cols[int(op-OpSq+1)*nvars:][:nvars]
 		for j, col := range e.x {
-			cols[j] = unaryColumn(op, make([]float64, len(col)), operand{col: col}).col
+			unaryColumn(op, u[j], operand{col: col})
 		}
-		e.unary[op-OpSq] = cols
+		e.unary[op-OpSq] = u
 	}
+	e.terms = make([]term, 0, len(ds.Y))
 	for i, y := range ds.Y {
-		e.zero[i] = stats.ApproxEqual(y, 0, 0)
-		if !e.zero[i] {
-			e.n++
+		if !stats.ApproxEqual(y, 0, 0) {
+			e.terms = append(e.terms, term{row: row[i], y: y})
 		}
 	}
 	return e
 }
 
+// distinctRows numbers the distinct rows of xs, comparing every value
+// by its exact bits, so +0 and -0, or NaNs with different payloads, are
+// different rows: row[i] is row i's number and k the number of
+// distinct rows.
+func distinctRows(xs [][]float64) (row []int32, k int) {
+	order := make([]int32, len(xs))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	compare := func(a, b int32) int {
+		for j, v := range xs[a] {
+			if c := cmp.Compare(math.Float64bits(v), math.Float64bits(xs[b][j])); c != 0 {
+				return c
+			}
+		}
+		return 0
+	}
+	slices.SortFunc(order, compare)
+	row = make([]int32, len(xs))
+	for n, i := range order {
+		if n > 0 && compare(order[n-1], i) != 0 {
+			k++
+		}
+		row[i] = int32(k)
+	}
+	if len(xs) > 0 {
+		k++
+	}
+	return row, k
+}
+
 // mape returns the mean absolute percentage error of g on the
 // evaluator's dataset, or +Inf when any prediction is NaN or infinite
 // or every target is zero. It is the GP fitness (lower is better).
+// Every distinct row's prediction belongs to some dataset row, so
+// checking the distinct predictions finds the same non-finite ones.
 func (e *evaluator) mape(g genome) float64 {
-	if e.n == 0 {
+	if len(e.terms) == 0 {
 		return math.Inf(1)
 	}
 	p := e.eval(g)
@@ -78,27 +126,23 @@ func (e *evaluator) mape(g genome) float64 {
 		if math.IsNaN(p.c) || math.IsInf(p.c, 0) {
 			return math.Inf(1)
 		}
-		for i, y := range e.y {
-			if !e.zero[i] {
-				sum += math.Abs((p.c - y) / y)
-			}
+		for _, t := range e.terms {
+			sum += math.Abs((p.c - t.y) / t.y)
 		}
-		return 100 * sum / float64(e.n)
+		return 100 * sum / float64(len(e.terms))
 	}
-	zero := e.zero[:len(p.col)]
-	y := e.y[:len(p.col)]
-	for i, pred := range p.col {
+	for _, pred := range p.col {
 		if math.IsNaN(pred) || math.IsInf(pred, 0) {
 			return math.Inf(1)
 		}
-		if !zero[i] {
-			sum += math.Abs((pred - y[i]) / y[i])
-		}
 	}
-	return 100 * sum / float64(e.n)
+	for _, t := range e.terms {
+		sum += math.Abs((p.col[t.row] - t.y) / t.y)
+	}
+	return 100 * sum / float64(len(e.terms))
 }
 
-// eval evaluates g over every row. Preorder read backwards is a
+// eval evaluates g over every distinct row. Preorder read backwards is a
 // postorder with each right subtree before its left, so when a binary
 // node is reached its left operand is on top of the stack and its
 // right operand just below.
@@ -136,7 +180,7 @@ func (e *evaluator) eval(g genome) operand {
 // written.
 func (e *evaluator) buf(k int) []float64 {
 	for len(e.bufs) <= k {
-		e.bufs = append(e.bufs, make([]float64, len(e.y)))
+		e.bufs = append(e.bufs, make([]float64, e.rows))
 	}
 	return e.bufs[k]
 }

@@ -1,6 +1,7 @@
 package symreg
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -215,4 +216,170 @@ func TestGenomeMatchesNodeShape(t *testing.T) {
 			}
 		}
 	}
+}
+
+// repeatedDataset builds a case-study-shaped dataset: k distinct input
+// rows, each repeated s times in shuffled order, every repeat with its
+// own target. The distinct rows include a +0/-0 pair (different rows
+// by their bits) and, last, a row of 1e120 whose cube overflows; that
+// row occurs only with zero targets, so only the non-finite check, not
+// the MAPE sum, sees it.
+func repeatedDataset(rng *stats.RNG, nvars, k, s int) Dataset {
+	distinct := [][]float64{make([]float64, nvars), make([]float64, nvars)}
+	distinct[1][0] = math.Copysign(0, -1)
+	seen := map[string]bool{}
+	for _, row := range distinct {
+		seen[fmt.Sprint(bitsOf(row))] = true
+	}
+	for len(distinct) < k-1 {
+		row := randomDataset(rng, nvars, 1).X[0]
+		if key := fmt.Sprint(bitsOf(row)); !seen[key] {
+			seen[key] = true
+			distinct = append(distinct, row)
+		}
+	}
+	overflow := make([]float64, nvars)
+	for j := range overflow {
+		overflow[j] = 1e120
+	}
+	distinct = append(distinct, overflow)
+
+	ds := Dataset{VarNames: make([]string, nvars)}
+	for _, i := range rng.Perm(k * s) {
+		r := i % k
+		y := rng.Float64() * 5
+		if r == k-1 || rng.Intn(5) == 0 {
+			y = 0
+		}
+		ds.X = append(ds.X, distinct[r])
+		ds.Y = append(ds.Y, y)
+	}
+	return ds
+}
+
+func bitsOf(row []float64) []uint64 {
+	b := make([]uint64, len(row))
+	for j, v := range row {
+		b[j] = math.Float64bits(v)
+	}
+	return b
+}
+
+// TestColumnFitnessRepeatedRows scores random trees on datasets whose
+// input rows repeat, as timing samples of one configuration do: the
+// evaluator computes one column entry per distinct input row, and its
+// MAPE must still equal the row-wise reference bit for bit.
+func TestColumnFitnessRepeatedRows(t *testing.T) {
+	rng := stats.NewRNG(29)
+	var nonFinite, finite int
+	for c := 0; c < 60; c++ {
+		nvars, k, s := 1+rng.Intn(3), 4+rng.Intn(22), 2+rng.Intn(9)
+		ds := repeatedDataset(rng, nvars, k, s)
+		e := newEvaluator(ds)
+		if e.rows != k {
+			t.Fatalf("case %d: %d distinct rows of %d, want %d", c, e.rows, len(ds.X), k)
+		}
+		for j := range e.x {
+			if len(e.x[j]) != k {
+				t.Fatalf("case %d: variable column %d holds %d rows, want %d", c, j, len(e.x[j]), k)
+			}
+			for _, u := range e.unary {
+				if len(u[j]) != k {
+					t.Fatalf("case %d: unary column %d holds %d rows, want %d", c, j, len(u[j]), k)
+				}
+			}
+		}
+		// Cubing variable 0 is finite on every row but the overflow
+		// row, which has only zero targets: the fitness is still +Inf.
+		cube := genome{{Op: OpCube}, {Op: OpVar}}
+		if got, want := e.mape(cube), rowMAPE(cube.node(), ds); !math.IsInf(got, 1) || !math.IsInf(want, 1) {
+			t.Fatalf("case %d: cube over an overflow row with zero targets: MAPE %v, row-wise %v, want +Inf", c, got, want)
+		}
+		for tree := 0; tree < 40; tree++ {
+			g := appendRandom(nil, rng, nvars, 2+rng.Intn(6), tree%2 == 0, 0, 2)
+			got, want := e.mape(g), rowMAPE(g.node(), ds)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("case %d/%d %s: column MAPE %v, row-wise %v", c, tree, g.node().String(ds.VarNames), got, want)
+			}
+			if math.IsInf(got, 1) {
+				nonFinite++
+			} else {
+				finite++
+			}
+		}
+	}
+	if nonFinite == 0 || finite == 0 {
+		t.Fatalf("property draws did not cover both outcomes: %d finite, %d +Inf", finite, nonFinite)
+	}
+}
+
+// fuzzValues are the input values FuzzColumnFitness draws from:
+// signed zeros, NaNs with two payloads, infinities, overflow and
+// protected-division magnitudes, and ordinary values. Its first nine
+// are finite, and targets draw from those: a measured time is finite,
+// and Go leaves the payload of a NaN that arithmetic on NaN targets
+// produces unspecified.
+var fuzzValues = [...]float64{
+	0, math.Copysign(0, -1), 1, -2.5, 3, 0.5, 1e-12, 1e120, 7,
+	math.NaN(), math.Float64frombits(0x7ff8000000000001), math.Inf(1), math.Inf(-1), -1e120, 1e-3, 10,
+}
+
+const fuzzFiniteValues = 9
+
+// FuzzColumnFitness maps bytes to a small dataset with forced repeats
+// and a genome, and requires the column MAPE to match the row-wise
+// reference bit for bit.
+func FuzzColumnFitness(f *testing.F) {
+	f.Add([]byte{0, 3, 2, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
+	f.Add([]byte{2, 5, 3, 0, 1, 9, 10, 7, 7, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
+	f.Add([]byte{1, 1, 0, 7, 7, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := int(data[0])
+			data = data[1:]
+			return b
+		}
+		nvars, k, s := 1+next()%3, 1+next()%6, 1+next()%4
+		distinct := make([][]float64, k)
+		for r := range distinct {
+			distinct[r] = make([]float64, nvars)
+			for j := range distinct[r] {
+				distinct[r][j] = fuzzValues[next()%len(fuzzValues)]
+			}
+		}
+		ds := Dataset{VarNames: make([]string, nvars)}
+		start := next()
+		for i := 0; i < k*s; i++ {
+			ds.X = append(ds.X, distinct[(start+i*(1+next()%k))%k])
+			ds.Y = append(ds.Y, fuzzValues[next()%fuzzFiniteValues])
+		}
+		var g genome
+		var grow func(depth int)
+		grow = func(depth int) {
+			b := next()
+			switch {
+			case depth >= 4 || len(g) >= 20 || b%3 == 0:
+				if b%2 == 0 {
+					g = append(g, gene{Op: OpVar, VarIndex: (b / 2) % nvars})
+				} else {
+					g = append(g, gene{Op: OpConst, Value: fuzzValues[(b/2)%len(fuzzValues)]})
+				}
+			case b%3 == 1:
+				g = append(g, gene{Op: unaryOps[(b/3)%len(unaryOps)]})
+				grow(depth + 1)
+			default:
+				g = append(g, gene{Op: binaryOps[(b/3)%len(binaryOps)]})
+				grow(depth + 1)
+				grow(depth + 1)
+			}
+		}
+		grow(0)
+		got, want := newEvaluator(ds).mape(g), rowMAPE(g.node(), ds)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s on %v -> %v: column MAPE %v, row-wise %v", g.node().String(ds.VarNames), ds.X, ds.Y, got, want)
+		}
+	})
 }
