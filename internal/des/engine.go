@@ -227,10 +227,14 @@ func (e *Engine) Run(horizon Time) Time {
 	return e.now
 }
 
-// dispatch delivers ev to its destination component.
+// dispatch delivers ev, a slot popped from the queue, to its
+// destination component. The call to HandleEvent passes *ev, whose
+// fields are loaded into the argument registers before the handler
+// runs, so the handler may push (and so compact the log over the slot)
+// without touching the event it received.
 //
 //lint:hotpath
-func (e *Engine) dispatch(ev Event) {
+func (e *Engine) dispatch(ev *Event) {
 	dst := int(ev.Dst)
 	if dst < 0 || dst >= len(e.components) {
 		panic(fmt.Sprintf("des: event for unknown component %d", ev.Dst))
@@ -239,10 +243,10 @@ func (e *Engine) dispatch(ev Event) {
 	e.ctx.now = e.now
 	if e.tracer != nil {
 		e.tracer.EventDispatch(e.stream, dst, int64(e.now))
-		e.components[dst].HandleEvent(&e.ctx, ev)
+		e.components[dst].HandleEvent(&e.ctx, *ev)
 		e.tracer.EventReturn(e.stream, int64(e.now))
 	} else {
-		e.components[dst].HandleEvent(&e.ctx, ev)
+		e.components[dst].HandleEvent(&e.ctx, *ev)
 	}
 	e.processed++
 }

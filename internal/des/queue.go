@@ -95,30 +95,51 @@ func (q *eventQueue) peek() *Event { return &q.log[q.front().head] }
 
 // push inserts ev, whose seq must exceed that of every earlier push.
 //
+// The log slot is written field by field from the argument registers.
+// A whole-struct store (append(q.log, ev)) makes the compiler spill ev
+// with 8-byte stores and copy it back with 16-byte loads that span two
+// of them, which the CPU cannot forward from its store buffer: every
+// push would stall until the spill reached the cache.
+//
 //lint:hotpath
 func (q *eventQueue) push(ev Event) {
-	if len(q.log) == cap(q.log) && len(q.log) >= 2*q.n+compactSlack {
-		q.compact()
+	if len(q.log) == cap(q.log) {
+		if len(q.log) >= 2*q.n+compactSlack {
+			q.compact()
+		}
+		if len(q.log) == cap(q.log) {
+			q.log = append(q.log, Event{})[:len(q.log)]
+		}
 	}
+	i := len(q.log)
 	t := &q.tail
 	if ev.Time != t.t {
 		if t.head < t.end {
 			q.pushRun(*t)
 		}
-		*t = run{t: ev.Time, seq: ev.seq, head: len(q.log), end: len(q.log)}
+		*t = run{t: ev.Time, seq: ev.seq, head: i, end: i}
 	}
-	q.log = append(q.log, ev)
+	q.log = q.log[:i+1]
+	s := &q.log[i]
+	s.Time = ev.Time
+	s.Dst = ev.Dst
+	s.Payload.Kind = ev.Payload.Kind
+	s.Payload.A = ev.Payload.A
+	s.Payload.B = ev.Payload.B
+	s.seq = ev.seq
 	t.end++
 	q.n++
 }
 
-// pop removes and returns the minimum event. The queue must be
-// non-empty.
+// pop removes the minimum event and returns its slot in the log, so the
+// caller reads the fields it needs instead of copying the event out
+// whole. The slot is valid only until the next push, which may compact
+// the log and reuse it. The queue must be non-empty.
 //
 //lint:hotpath
-func (q *eventQueue) pop() Event {
+func (q *eventQueue) pop() *Event {
 	r := q.front()
-	ev := q.log[r.head]
+	ev := &q.log[r.head]
 	r.head++
 	q.n--
 	if r.head == r.end && r != &q.tail {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"testing"
+	"unsafe"
 )
 
 // TestEventQueueOrdering drains a queue filled with heavily tied
@@ -286,5 +287,104 @@ func TestEventQueueMemoryBound(t *testing.T) {
 	if cap(q.log) > limit || cap(q.spare) > limit {
 		t.Fatalf("after %d events at peak %d pending: log capacity %d, spare %d, want <= %d",
 			seq, peak, cap(q.log), cap(q.spare), limit)
+	}
+}
+
+// compactComp checks every delivery against the reference and every
+// field of its event against what was scheduled. A trigger event then
+// pushes a burst of self events at distinct times and the next trigger
+// after them, and checks that the event it received is still the one
+// scheduled, after pushes that compacted the log its slot was popped
+// from.
+type compactComp struct {
+	eng         *Engine
+	ref         *refQueue
+	id          ComponentID
+	burst       int
+	rounds      int
+	compactions int // trigger dispatches whose pushes compacted the log
+	err         error
+}
+
+const (
+	triggerKind = 7
+	burstKind   = 8
+)
+
+// trigger is the event round r's trigger carries, scheduled at t.
+func (c *compactComp) trigger(t Time, r int) Event {
+	return Event{Time: t, Dst: c.id, Payload: Payload{Kind: triggerKind, A: int64(r), B: -1000*int64(r) - 17}}
+}
+
+func (c *compactComp) HandleEvent(ctx *Context, ev Event) {
+	if c.err != nil {
+		return
+	}
+	want := c.ref.pop()
+	if got := (qkey{ev.Time, ev.seq}); got != want {
+		c.err = fmt.Errorf("delivery at %d: got (%d, %d), want (%d, %d)", ctx.Now(), got.t, got.seq, want.t, want.seq)
+		return
+	}
+	if ev.Dst != c.id {
+		c.err = fmt.Errorf("delivery at %d: Dst %d, want %d", ctx.Now(), ev.Dst, c.id)
+		return
+	}
+	if ev.Payload.Kind == burstKind {
+		// Burst event i of a trigger at t carries A = t, B = -i.
+		if ev.Time != Time(ev.Payload.A-ev.Payload.B) {
+			c.err = fmt.Errorf("burst event arrived at %d with payload %+v", ev.Time, ev.Payload)
+		}
+		return
+	}
+	// A compaction swaps the log into the spare, so a spare that holds
+	// the log's array from before the pushes means they compacted it.
+	popped := unsafe.SliceData(c.eng.queue.log)
+	for i := 1; i <= c.burst; i++ {
+		ctx.ScheduleSelf(Time(i), Payload{Kind: burstKind, A: int64(ctx.Now()), B: -int64(i)})
+		c.ref.push(ctx.Now() + Time(i))
+	}
+	r := int(ev.Payload.A)
+	if r+1 < c.rounds {
+		next := c.trigger(ctx.Now()+Time(c.burst+1), r+1)
+		ctx.ScheduleSelf(Time(c.burst+1), next.Payload)
+		c.ref.push(next.Time)
+	}
+	if unsafe.SliceData(c.eng.queue.spare) == popped {
+		c.compactions++
+	}
+	if want := c.trigger(ctx.Now(), r); ev.Time != want.Time || ev.Dst != want.Dst || ev.Payload != want.Payload {
+		c.err = fmt.Errorf("round %d trigger arrived as %+v after its pushes, want %+v", r, ev, want)
+	}
+}
+
+// TestDispatchAcrossCompaction holds the popped-slot rule: the engine
+// dispatches an event from its slot in the queue's log, and a handler's
+// pushes may compact that log. Each trigger's burst follows a drained
+// one, so the trigger's pushes compact the log; across rounds the
+// compaction target alternates, so later rounds write over the array
+// earlier triggers were popped from. (One dispatch cannot compact twice:
+// pushes add no dead slots.) The trigger must arrive intact, and every
+// later delivery must match the sorted reference.
+func TestDispatchAcrossCompaction(t *testing.T) {
+	e := NewEngine()
+	e.Register(&recorder{}) // so the checked component's ID is not zero
+	ref := &refQueue{}
+	c := &compactComp{eng: e, ref: ref, burst: 300, rounds: 6}
+	c.id = e.Register(c)
+	first := c.trigger(5, 0)
+	e.ScheduleAt(first.Time, first.Dst, first.Payload)
+	ref.push(first.Time)
+	e.Run(0)
+	if c.err != nil {
+		t.Fatal(c.err)
+	}
+	if len(ref.keys) != 0 || e.Pending() != 0 {
+		t.Fatalf("after draining: %d pending, reference holds %d", e.Pending(), len(ref.keys))
+	}
+	if c.compactions < 2 {
+		t.Fatalf("%d trigger dispatches compacted the log, want at least 2", c.compactions)
+	}
+	if want := uint64(c.rounds * (c.burst + 1)); e.Processed() != want {
+		t.Fatalf("processed %d events, want %d", e.Processed(), want)
 	}
 }

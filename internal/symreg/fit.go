@@ -204,13 +204,15 @@ func fit(label string, train, test Dataset, opt Options, xScale []float64, yScal
 		seed = appendNode(nil, warm)
 	}
 
+	// The first restart's winner stands until a later one beats it, so
+	// a problem no expression scores finitely on (every target zero, or
+	// a NaN target) still returns an expression, with its non-finite
+	// TrainMAPE.
 	var best individual
-	best.fitness = math.Inf(1)
-	best.rawMAPE = math.Inf(1)
 	for r := 0; r < opt.Restarts; r++ {
 		cand := gp.evolve(master.Split(), seed)
 		seed = nil
-		if cand.rawMAPE < best.rawMAPE {
+		if r == 0 || cand.rawMAPE < best.rawMAPE {
 			best = cand
 		}
 		if best.rawMAPE < opt.TargetMAPE {

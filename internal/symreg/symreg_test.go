@@ -188,6 +188,33 @@ func TestFitRecoversCubic(t *testing.T) {
 	}
 }
 
+// TestFitNoFiniteMAPE fits data no expression scores finitely on: every
+// target zero (no term enters the MAPE) and one NaN target (every MAPE
+// is NaN). Fit must still return the first restart's expression and
+// report the non-finite train MAPE instead of panicking.
+func TestFitNoFiniteMAPE(t *testing.T) {
+	cases := []struct {
+		name string
+		y    []float64
+		want func(float64) bool
+	}{
+		{"all_zero", []float64{0, 0, 0, 0}, func(m float64) bool { return math.IsInf(m, 1) }},
+		{"nan_target", []float64{1, 2, math.NaN(), 4}, math.IsNaN},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ds := Dataset{VarNames: []string{"x"}, X: [][]float64{{1}, {2}, {3}, {4}}, Y: tc.y}
+			f := Fit("degenerate", ds, Dataset{}, Options{Seed: 1, Generations: 5, PopSize: 16, Restarts: 2})
+			if f.Expr == nil {
+				t.Fatal("Fit returned no expression")
+			}
+			if !tc.want(f.TrainMAPE) {
+				t.Fatalf("TrainMAPE %v, want non-finite of the %s kind", f.TrainMAPE, tc.name)
+			}
+		})
+	}
+}
+
 func TestFitTwoVariables(t *testing.T) {
 	// y = x^2 + 10*log(1+r): two-parameter surface with noise.
 	rng := stats.NewRNG(11)
