@@ -1,19 +1,20 @@
 GO ?= go
 
-.PHONY: check build test vet fmt lint lint-self lint-fixtures lint-fixtures-verify race perfbench-test exp-verify bench-compare profile trace-fixtures chaos fuzz serve-smoke dist-smoke
+.PHONY: check build test vet fmt lint lint-self lint-fixtures lint-fixtures-verify race perfbench-test exp-verify bench-compare profile trace-fixtures chaos fuzz serve-smoke
 
 # check is the tier-1 gate: formatting, static analysis (vet and
 # besst-lint, including the analyzer linting itself and its golden
 # fixtures verified against the committed tree), build, the
 # race-enabled internal test suite (the parallel tiers are only trusted
-# under -race), the perfbench module's result-digest and generator
-# tests, the full paper-experiment output against its archive, the
-# observability fixtures, the campaign-resilience chaos/crash suite, the
-# simulation-service smoke gate (quickstart golden and memo-warm
-# surrogate search), the distributed-execution smoke gate (real worker
-# processes, one chaos-killed mid-run), and the benchmark-ledger
-# regression gate.
-check: fmt vet lint lint-self lint-fixtures-verify build race perfbench-test exp-verify trace-fixtures chaos serve-smoke dist-smoke bench-compare
+# under -race; it holds the distributed byte-identity gate, which
+# builds besst-worker and runs the quickstart campaign over real worker
+# processes, one chaos-killed mid-shard), the perfbench module's
+# result-digest and generator tests, the full paper-experiment output
+# against its archive, the observability fixtures, the
+# campaign-resilience chaos/crash suite, the simulation-service smoke
+# gate (quickstart golden and memo-warm surrogate search), and the
+# benchmark-ledger regression gate.
+check: fmt vet lint lint-self lint-fixtures-verify build race perfbench-test exp-verify trace-fixtures chaos serve-smoke bench-compare
 
 build:
 	$(GO) build ./...
@@ -105,16 +106,6 @@ chaos:
 #   go run ./cmd/besst-serve -smoke -golden results/GOLDEN_serve_smoke.json -update-golden
 serve-smoke: build
 	$(GO) run ./cmd/besst-serve -smoke -golden results/GOLDEN_serve_smoke.json
-
-# dist-smoke is the distributed-execution gate: the coordinator runs
-# the quickstart campaign over three real besst-worker processes across
-# a matrix of shard counts and replication degrees — one worker
-# chaos-configured to SIGKILL itself mid-shard — and every merged
-# result must be byte-identical to the single-process reference and to
-# the committed serve golden, with the worker loss actually observed
-# (retries > 0, workers lost > 0).
-dist-smoke: build
-	$(GO) run ./cmd/besst-worker -smoke -golden results/GOLDEN_serve_smoke.json
 
 # fuzz runs the short corruption fuzzers: the checkpoint-journal reader
 # (torn tails, garbage lines), the AppBEO JSON decoder, the

@@ -70,8 +70,12 @@ func main() {
 		fatalf("-search runs in-process: adaptive rounds have no static shard space to distribute (drop -dist)")
 	}
 	if *search && ses.CampaignEnabled() {
-		fatalf("-search does not use campaign checkpoints; its persistence is the -memo journal (drop -state)")
+		fatalf("-search does not use campaign checkpoints or chaos; its persistence is the -memo journal (drop -ckpt, -resume and -chaos)")
 	}
+
+	// The model bundle both execution paths evaluate against, in the
+	// campaign request's terms.
+	modelSpec := serve.ModelSpec{Method: "symreg", Samples: *samples, Seed: common.Seed}
 
 	// -dist: run the overhead sweep as a dse_sweep campaign on a
 	// besst-worker fleet and print the merged result document. The
@@ -83,7 +87,7 @@ func main() {
 			Kind:          serve.KindSweep,
 			// Seed+1 mirrors the local path's dse.WithSeed(common.Seed+1).
 			Run:   besst.RunSpec{SchemaVersion: 1, Seed: common.Seed + 1},
-			Model: &serve.ModelSpec{Method: "symreg", Samples: *samples, Seed: common.Seed},
+			Model: &modelSpec,
 			Sweep: &serve.SweepSpec{
 				EPRs:      []int{10, 15, 20, 25},
 				Ranks:     []int{64, 216, 1000},
@@ -143,11 +147,10 @@ func main() {
 				fatalf("%v", err)
 			}
 		}
-		// The bundle string keys memoized means to the exact modeling
-		// pipeline; any flag that changes model fits must appear here.
-		bundle := fmt.Sprintf("cli|quartz|lulesh|symreg|samples=%d|seed=%d", *samples, common.Seed)
+		// Keyed like besst-serve's sweeps, so one -memo journal is shared
+		// with the equivalent dse_sweep search request.
 		prepared := dse.PrepareSweep(models, em.M, em.Cost.Config.NodeSize, sweepCfg)
-		prepared.AttachMemo(memo, bundle)
+		prepared.AttachMemo(memo, serve.MemoBundle(modelSpec))
 		res, serr := prepared.Search(dse.SearchConfig{Budget: *budget})
 		if serr != nil {
 			fatalf("%v", serr)
@@ -164,7 +167,9 @@ func main() {
 		if err := memo.Close(); err != nil {
 			fatalf("close memo journal: %v", err)
 		}
-	} else if ses.CampaignEnabled() {
+	} else {
+		// Without -ckpt/-resume/-chaos the campaign keeps no journal and
+		// injects nothing, so its cells equal a plain dse.OverheadSweep.
 		prepared := dse.PrepareSweep(models, em.M, em.Cost.Config.NodeSize, sweepCfg)
 		hash := resilience.ConfigHash("besst-dse", *samples, *steps, *mc, common.Seed)
 		sweepCells, rep, err := resilience.SweepResumable(prepared, ses.Campaign(hash))
@@ -177,8 +182,6 @@ func main() {
 			fatalf("writing progress: %v", err)
 		}
 		cells = sweepCells
-	} else {
-		cells = dse.OverheadSweep(models, em.M, em.Cost.Config.NodeSize, sweepCfg)
 	}
 	sweepDone()
 

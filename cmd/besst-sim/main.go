@@ -184,29 +184,28 @@ func main() {
 		app.Name, machine.Name, *mode, *mc)
 	simDone := ses.Phase("simulate")
 	opts := append(ses.RunOptions(), besst.WithMode(m), besst.WithPerRankNoise(true))
+	// Without -ckpt/-resume/-chaos the campaign keeps no journal and
+	// injects nothing, so its results equal a plain besst.Replicate; a
+	// panicking trial is quarantined, not fatal.
+	cr, err := besst.CompileErr(app, arch)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	hash := resilience.ConfigHash("besst-sim", app.Name, machine.Name, *mode, *mc,
+		*epr, *ranks, *steps, *scenario, *period, common.Seed)
+	all, rep, err := resilience.ReplicateResumable(cr, *mc, ses.Campaign(hash), opts...)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	cli.ReportCampaign(progress, rep)
 	var runs []*besst.Result
-	if ses.CampaignEnabled() {
-		cr, err := besst.CompileErr(app, arch)
-		if err != nil {
-			fatalf("%v", err)
+	for _, r := range all {
+		if r != nil {
+			runs = append(runs, r)
 		}
-		hash := resilience.ConfigHash("besst-sim", app.Name, machine.Name, *mode, *mc,
-			*epr, *ranks, *steps, *scenario, *period, common.Seed)
-		all, rep, err := resilience.ReplicateResumable(cr, *mc, ses.Campaign(hash), opts...)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		cli.ReportCampaign(progress, rep)
-		for _, r := range all {
-			if r != nil {
-				runs = append(runs, r)
-			}
-		}
-		if len(runs) == 0 {
-			fatalf("every replication was quarantined; no results")
-		}
-	} else {
-		runs = besst.Replicate(app, arch, *mc, opts...)
+	}
+	if len(runs) == 0 {
+		fatalf("every replication was quarantined; no results")
 	}
 	simDone()
 

@@ -4,7 +4,6 @@
 // demand and answers byte-canonical per-unit payloads.
 //
 //	besst-worker -addr 127.0.0.1:9001 -auth-token secret
-//	besst-worker -smoke -golden results/GOLDEN_serve_smoke.json
 //
 // Endpoints (see internal/dist and DESIGN.md):
 //
@@ -14,8 +13,9 @@
 //
 // The chaos flags arm the deterministic fault injector — -chaos-kill
 // SIGKILLs the worker itself mid-shard on a schedule that is a pure
-// function of (-chaos-seed, unit index), which is how the dist smoke
-// proves worker loss cannot change result bytes.
+// function of (-chaos-seed, unit index), which is how the dist
+// package's TestDistributedByteIdentity proves worker loss cannot
+// change result bytes.
 package main
 
 import (
@@ -39,16 +39,7 @@ func main() {
 	chaosKill := flag.Float64("chaos-kill", 0, "per-unit probability of SIGKILLing this worker mid-shard")
 	chaosDelay := flag.Float64("chaos-delay", 0, "per-unit probability of an injected straggler delay")
 	chaosSeed := flag.Uint64("chaos-seed", 1, "chaos injector seed (schedule is deterministic per seed)")
-	smoke := flag.Bool("smoke", false, "run the distributed smoke check (spawns worker subprocesses) and exit")
-	golden := flag.String("golden", "", "golden result document the -smoke merged result must match")
 	flag.Parse()
-
-	if *smoke {
-		if err := dist.Smoke(os.Stdout, dist.SmokeConfig{Golden: *golden}); err != nil {
-			fatalf("%v", err)
-		}
-		return
-	}
 
 	var memo *dse.Memo
 	if *memoJournal != "" {

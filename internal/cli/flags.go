@@ -190,7 +190,8 @@ func (s *Session) Phases() []obs.PhaseMetrics {
 }
 
 // CampaignEnabled reports whether any campaign-resilience flag asks
-// for the checkpointing/retry runner instead of the plain path.
+// for a checkpoint journal or chaos injection — what besst-dse -search
+// refuses, since its persistence is the memo.
 func (s *Session) CampaignEnabled() bool {
 	return s.flags.Ckpt != "" || s.flags.Resume || s.flags.Chaos > 0
 }

@@ -106,7 +106,7 @@ func (nopCollector) ShardRetry(int, int)           {}
 func (nopCollector) ShardDivergence(int, int, int) {}
 func (nopCollector) WorkerDown(int)                {}
 
-// runAccounting accumulates the Report across concurrent shards.
+// runAccounting accumulates the report across concurrent shards.
 type runAccounting struct {
 	mu          sync.Mutex
 	retries     int      // guarded by mu
@@ -115,13 +115,14 @@ type runAccounting struct {
 
 // Run executes the campaign in raw request JSON across the worker
 // fleet and returns the complete per-unit payload vector (index
-// order). n, when positive, cross-checks the caller's unit count
-// against the plan. A closed cancel channel aborts the run and returns
-// (nil, report, nil) — the drained convention shared with
-// serve.Backend. Divergence-without-majority, exhaustion of every
-// replica's attempts, and bad requests return errors.
-func (c *Coordinator) Run(request []byte, n int, cancel <-chan struct{}, col Collector) ([]json.RawMessage, Report, error) {
-	rep := Report{Replicas: c.cfg.Replicas}
+// order); it makes *Coordinator a serve.Backend. n, when positive,
+// cross-checks the caller's unit count against the plan. A closed
+// cancel channel aborts the run and returns (nil, report, nil) — the
+// drained convention of serve.Backend. A nil col drops every event.
+// Divergence-without-majority, exhaustion of every replica's attempts,
+// and bad requests return errors.
+func (c *Coordinator) Run(request []byte, n int, cancel <-chan struct{}, col serve.BackendCollector) ([]json.RawMessage, serve.BackendReport, error) {
+	rep := serve.BackendReport{Replicas: c.cfg.Replicas}
 	p, err := serve.ParsePlan(request)
 	if err != nil {
 		return nil, rep, err
@@ -210,7 +211,7 @@ func (c *Coordinator) Run(request []byte, n int, cancel <-chan struct{}, col Col
 
 // runShard executes one shard on Replicas workers and resolves the
 // returned journals by strict majority.
-func (c *Coordinator) runShard(ctx context.Context, s int, r par.Range, p *serve.Plan, col Collector, acct *runAccounting) ([]json.RawMessage, error) {
+func (c *Coordinator) runShard(ctx context.Context, s int, r par.Range, p *serve.Plan, col serve.BackendCollector, acct *runAccounting) ([]json.RawMessage, error) {
 	type replicaOut struct {
 		payloads []json.RawMessage
 		key      string
@@ -279,7 +280,7 @@ func (c *Coordinator) runShard(ctx context.Context, s int, r par.Range, p *serve
 // runReplica drives one shard replica to completion: pick a live
 // worker, call it with the shard deadline, and on worker loss back off
 // and reassign to a survivor.
-func (c *Coordinator) runReplica(ctx context.Context, s, ri int, r par.Range, p *serve.Plan, col Collector, acct *runAccounting) ([]json.RawMessage, error) {
+func (c *Coordinator) runReplica(ctx context.Context, s, ri int, r par.Range, p *serve.Plan, col serve.BackendCollector, acct *runAccounting) ([]json.RawMessage, error) {
 	var lastErr error
 	for attempt := 1; attempt <= c.cfg.MaxAttempts; attempt++ {
 		if attempt > 1 {
@@ -404,7 +405,7 @@ func (c *Coordinator) pickWorker(shard, replica, attempt int) int {
 }
 
 // markDown records worker loss (idempotent per down episode).
-func (c *Coordinator) markDown(w int, col Collector) {
+func (c *Coordinator) markDown(w int, col serve.BackendCollector) {
 	c.mu.Lock()
 	fresh := !c.down[w]
 	c.down[w] = true
@@ -419,7 +420,7 @@ func (c *Coordinator) markDown(w int, col Collector) {
 // one Run: a down worker that answers again is revived and rejoins the
 // assignment rotation; a live one that stops answering is marked down
 // so stragglers stop receiving new shards. Exits when ctx is done.
-func (c *Coordinator) heartbeatLoop(ctx context.Context, col Collector) {
+func (c *Coordinator) heartbeatLoop(ctx context.Context, col serve.BackendCollector) {
 	tick := time.NewTicker(c.cfg.Heartbeat)
 	defer tick.Stop()
 	for {
@@ -465,10 +466,10 @@ func journalKey(payloads []json.RawMessage) string {
 // across the fleet, and assemble the merged result document —
 // byte-identical to what besst-serve or the local CLIs produce for the
 // same request.
-func RunRequest(c *Coordinator, request []byte, cancel <-chan struct{}, col Collector) ([]byte, Report, error) {
+func RunRequest(c *Coordinator, request []byte, cancel <-chan struct{}, col serve.BackendCollector) ([]byte, serve.BackendReport, error) {
 	p, err := serve.ParsePlan(request)
 	if err != nil {
-		return nil, Report{}, err
+		return nil, serve.BackendReport{}, err
 	}
 	payloads, rep, err := c.Run(request, 0, cancel, col)
 	if err != nil {
@@ -484,24 +485,7 @@ func RunRequest(c *Coordinator, request []byte, cancel <-chan struct{}, col Coll
 	return doc, rep, nil
 }
 
-// ServeBackend adapts a Coordinator to serve.Backend so besst-serve
-// can execute admitted campaigns on the worker fleet instead of
-// in-process.
-func ServeBackend(c *Coordinator) serve.Backend { return serveBackend{c} }
-
-type serveBackend struct{ c *Coordinator }
-
-func (b serveBackend) Run(request []byte, n int, cancel <-chan struct{}, col serve.BackendCollector) ([]json.RawMessage, serve.BackendReport, error) {
-	var dc Collector
-	if col != nil {
-		dc = col
-	}
-	payloads, rep, err := b.c.Run(request, n, cancel, dc)
-	return payloads, serve.BackendReport{
-		Shards:      rep.Shards,
-		Replicas:    rep.Replicas,
-		Retries:     rep.Retries,
-		WorkersLost: rep.WorkersLost,
-		Divergences: rep.Divergences,
-	}, err
-}
+// ServeBackend returns c as the serve.Backend besst-serve executes
+// admitted campaigns through, so they run on the worker fleet instead
+// of in-process.
+func ServeBackend(c *Coordinator) serve.Backend { return c }

@@ -10,23 +10,20 @@ import (
 	"net/http/httptest"
 	"os"
 	"os/exec"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"besst/internal/resilience"
 	"besst/internal/serve"
 	"besst/internal/serveclient"
 )
 
 // The dist tests drive the coordinator against scripted executors
 // (forged journals, stragglers) and against the real shard executor
-// (byte-identity matrix, subprocess SIGKILL). The child-worker mode is
-// dispatched from TestMain via env var, the same re-exec pattern the
-// resilience kill-resume test uses.
-
-const childEnv = "BESST_DIST_WORKER_CHILD"
+// and besst-worker binary (the byte-identity gate).
 
 // testRequest is a small valid monte_carlo campaign; the scripted
 // executors never run it, but the coordinator validates every request
@@ -256,12 +253,19 @@ func TestWorkerAuth(t *testing.T) {
 	}
 }
 
-// TestByteIdenticalAcrossGeometries is the tentpole invariant with the
-// real shard executor: every shards x replicas combination merges to
-// the exact bytes a single-process run produces.
-func TestByteIdenticalAcrossGeometries(t *testing.T) {
+// TestDistributedByteIdentity is the distributed layer's one gate on
+// its central claim: sharding, replication, and worker loss never
+// change result bytes. It builds the real besst-worker binary and runs
+// the quickstart campaign over a mixed fleet — one in-process worker
+// (so -race sees the worker side), one besst-worker process, and one
+// besst-worker armed with -chaos-kill 1 that SIGKILLs itself mid-shard
+// the first time it executes a unit — at every combination of shards
+// {1, 4} × replicas {1, 2, 3}. Each merged document must equal the
+// single-process reference, which must equal the committed serve
+// golden, and the chaos worker must actually have been lost.
+func TestDistributedByteIdentity(t *testing.T) {
 	if testing.Short() {
-		t.Skip("compiles models and boots listeners")
+		t.Skip("builds besst-worker and spawns worker processes")
 	}
 	request := []byte(serveclient.QuickstartRequest)
 	p, err := serve.ParsePlan(request)
@@ -277,15 +281,41 @@ func TestByteIdenticalAcrossGeometries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two workers sharing one executor: the compile cache is exercised
-	// once, the HTTP path on every shard.
-	urls := []string{
-		startWorker(t, WorkerConfig{Executor: ex}),
-		startWorker(t, WorkerConfig{Executor: ex}),
+	golden, err := os.ReadFile("../../results/GOLDEN_serve_smoke.json")
+	if err != nil {
+		t.Fatal(err)
 	}
+	if !bytes.Equal(want, golden) {
+		t.Fatalf("single-process reference diverged from the serve golden (%d vs %d bytes)", len(want), len(golden))
+	}
+
+	exe := filepath.Join(t.TempDir(), "besst-worker")
+	build := exec.Command(filepath.Join(runtime.GOROOT(), "bin", "go"), "build", "-o", exe, "besst/cmd/besst-worker")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("build besst-worker: %v\n%s", err, out)
+	}
+	// The chaos worker sits at index 1, the first pick of shard 0
+	// replica 0, so the first geometry already loses it.
+	chaos := spawnWorker(t, exe, "-chaos-kill", "1", "-chaos-seed", "42")
+	urls := []string{
+		startWorker(t, WorkerConfig{AuthToken: gateToken, Executor: ex}),
+		chaos.url,
+		spawnWorker(t, exe).url,
+	}
+
+	lost, retries := 0, 0
 	for _, shards := range []int{1, 4} {
 		for _, replicas := range []int{1, 2, 3} {
-			c := newCoordinator(t, Config{Workers: urls, Shards: shards, Replicas: replicas})
+			c := newCoordinator(t, Config{
+				Workers:      urls,
+				Shards:       shards,
+				Replicas:     replicas,
+				AuthToken:    gateToken,
+				ShardTimeout: time.Minute,
+				Heartbeat:    150 * time.Millisecond,
+				MaxAttempts:  6,
+				BaseBackoff:  20 * time.Millisecond,
+			})
 			doc, rep, err := RunRequest(c, request, nil, nil)
 			if err != nil {
 				t.Fatalf("shards=%d replicas=%d: %v", shards, replicas, err)
@@ -296,109 +326,64 @@ func TestByteIdenticalAcrossGeometries(t *testing.T) {
 			if len(rep.Divergences) != 0 {
 				t.Fatalf("shards=%d replicas=%d: unexpected divergences %v", shards, replicas, rep.Divergences)
 			}
+			lost += rep.WorkersLost
+			retries += rep.Retries
 		}
+	}
+	if lost == 0 || retries == 0 {
+		t.Fatalf("the chaos worker was never lost (lost=%d, retries=%d): worker-loss tolerance went unexercised", lost, retries)
+	}
+	// The chaos worker must be dead by its own injector, not by the
+	// test's cleanup.
+	select {
+	case <-chaos.exited:
+		if chaos.err == nil {
+			t.Fatal("chaos worker exited cleanly; the SIGKILL never fired")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("chaos worker still running; the SIGKILL never fired")
 	}
 }
 
-// TestSIGKILLReplicaMidShardByteIdentical re-executes this test binary
-// as a real besst-worker child armed with KillRate 1, so it SIGKILLs
-// itself mid-shard the first time it executes a unit. The coordinator
-// must lose it, reassign to the in-process survivors, and still merge
-// the exact single-process bytes.
-func TestSIGKILLReplicaMidShardByteIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("re-executes the test binary")
-	}
-	request := []byte(serveclient.QuickstartRequest)
-	p, err := serve.ParsePlan(request)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex := serve.NewShardExecutor(serve.ExecConfig{Workers: 2, CacheCap: 4})
-	units, err := ex.ExecShard(p.ID(), request, 0, p.Units())
-	if err != nil {
-		t.Fatalf("reference run: %v", err)
-	}
-	want, err := p.Assemble(units)
-	if err != nil {
-		t.Fatal(err)
-	}
+// gateToken is the bearer token every worker of the gate's fleet
+// requires.
+const gateToken = "dist-gate"
 
-	cmd := exec.Command(os.Args[0], "-test.run=TestMain")
-	cmd.Env = append(os.Environ(), childEnv+"=1")
+// workerProc is one besst-worker subprocess.
+type workerProc struct {
+	url    string
+	exited chan struct{} // closed once the process has been reaped
+	err    error         // Wait's result; read only after exited closes
+}
+
+// spawnWorker starts the besst-worker binary exe on an ephemeral port
+// with the gate's auth token plus extra args, parses the bound address
+// from its first stdout line, and kills and reaps it at test cleanup.
+func spawnWorker(t *testing.T, exe string, extra ...string) *workerProc {
+	t.Helper()
+	cmd := exec.Command(exe, append([]string{"-addr", "127.0.0.1:0", "-auth-token", gateToken}, extra...)...)
 	cmd.Stderr = os.Stderr
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := cmd.Start(); err != nil {
-		t.Fatalf("start child worker: %v", err)
+		t.Fatalf("start besst-worker: %v", err)
 	}
+	w := &workerProc{exited: make(chan struct{})}
+	sc := bufio.NewScanner(stdout)
+	announced := sc.Scan()
+	go func() {
+		w.err = cmd.Wait()
+		close(w.exited)
+	}()
 	t.Cleanup(func() {
 		_ = cmd.Process.Kill()
-		_ = cmd.Wait()
+		<-w.exited
 	})
-	sc := bufio.NewScanner(stdout)
-	if !sc.Scan() {
-		t.Fatalf("child worker exited before announcing its address: %v", sc.Err())
+	if !announced {
+		t.Fatalf("besst-worker exited before announcing its address: %v", sc.Err())
 	}
-	childURL := "http://" + strings.TrimPrefix(strings.TrimSpace(sc.Text()), "listening on ")
-
-	// Child at index 1: shard 0 replica 0's first pick, guaranteed to
-	// be contacted while alive and die mid-shard.
-	urls := []string{
-		startWorker(t, WorkerConfig{Executor: ex}),
-		childURL,
-		startWorker(t, WorkerConfig{Executor: ex}),
-	}
-	col := &recCollector{}
-	c := newCoordinator(t, Config{
-		Workers:     urls,
-		Shards:      2,
-		Replicas:    2,
-		BaseBackoff: 5 * time.Millisecond,
-	})
-	doc, rep, err := RunRequest(c, request, nil, col)
-	if err != nil {
-		t.Fatalf("run with SIGKILLed replica: %v", err)
-	}
-	if !bytes.Equal(doc, want) {
-		t.Fatalf("merged doc diverged after worker SIGKILL (%d vs %d bytes)", len(doc), len(want))
-	}
-	if rep.WorkersLost == 0 || rep.Retries == 0 {
-		t.Fatalf("the chaos child was never lost: %+v", rep)
-	}
-	if len(rep.Divergences) != 0 {
-		t.Fatalf("unexpected divergences: %v", rep.Divergences)
-	}
-	// The child must actually be dead — killed by its own chaos
-	// injector, not by our cleanup.
-	if err := cmd.Wait(); err == nil {
-		t.Fatal("chaos child exited cleanly; the SIGKILL never fired")
-	}
-}
-
-// distWorkerChild is the re-executed child's entry point: a real
-// worker whose chaos injector SIGKILLs the process at its first unit.
-func distWorkerChild() int {
-	ex := serve.NewShardExecutor(serve.ExecConfig{
-		Workers:  1,
-		CacheCap: 2,
-		Chaos:    resilience.ChaosConfig{KillRate: 1, Seed: 42},
-	})
-	err := ListenAndServeWorker("127.0.0.1:0", WorkerConfig{Executor: ex}, func(addr string) {
-		fmt.Printf("listening on %s\n", addr)
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "child worker:", err)
-		return 1
-	}
-	return 0
-}
-
-func TestMain(m *testing.M) {
-	if os.Getenv(childEnv) == "1" {
-		os.Exit(distWorkerChild())
-	}
-	os.Exit(m.Run())
+	w.url = "http://" + strings.TrimPrefix(strings.TrimSpace(sc.Text()), "besst-worker listening on ")
+	return w
 }

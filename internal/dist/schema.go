@@ -62,23 +62,6 @@ type ShardResult struct {
 	Payloads      []json.RawMessage `json:"payloads"`
 }
 
-// Report summarizes a distributed run for status documents and logs.
-type Report struct {
-	// Shards is the number of index-range shards the campaign split into.
-	Shards int `json:"shards"`
-	// Replicas is the replication degree each shard ran at.
-	Replicas int `json:"replicas"`
-	// Retries counts dispatch attempts beyond the first, across all
-	// shard replicas (worker loss, timeouts, transport errors).
-	Retries int `json:"retries"`
-	// WorkersLost counts workers marked down at least once.
-	WorkersLost int `json:"workers_lost"`
-	// Divergences describes shards whose replicas disagreed but still
-	// reached majority — accepted, yet surfaced: silent state corruption
-	// is the failure mode replication exists to catch.
-	Divergences []string `json:"divergences,omitempty"`
-}
-
 // DivergenceError is a shard whose replicas could not reach a strict
 // majority: no journal variant was returned by more than half the
 // replicas that answered. The campaign fails with this error rather
@@ -94,14 +77,4 @@ type DivergenceError struct {
 func (e *DivergenceError) Error() string {
 	return fmt.Sprintf("dist: shard %d [%d,%d) diverged: %d replicas returned %d distinct journals (%s) with no majority",
 		e.Shard, e.Lo, e.Hi, e.Returned, len(e.Variants), strings.Join(e.Variants, ", "))
-}
-
-// Collector receives distributed-execution progress events. It is
-// structurally satisfied by *obs.Collector and serve's backend
-// collector; a nil Collector is valid and drops everything.
-type Collector interface {
-	ShardDone(shard, lo, hi int)
-	ShardRetry(shard, attempt int)
-	ShardDivergence(shard, agree, returned int)
-	WorkerDown(worker int)
 }

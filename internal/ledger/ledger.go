@@ -4,9 +4,9 @@
 // is held to against the committed baseline (Compare).
 //
 // besst-bench -ledger runs the registry, writes results/BENCH.json and
-// gates it against results/BENCH_baseline.json; the root bench_test.go
-// times the same entries under `go test -bench`, so the gate and the Go
-// benchmark harness measure the same code.
+// gates it against results/BENCH_baseline.json; BenchmarkLedger in this
+// package times the same entries under `go test -bench Ledger`, so the
+// gate and the Go benchmark harness measure the same code.
 package ledger
 
 import (

@@ -90,25 +90,12 @@ func Split(n, k int) []Range {
 // ForEach runs fn(i) for every i in [0, n) on a pool of at most
 // `workers` goroutines (Workers-resolved, clamped to n). It returns
 // once every started call has finished. A panic inside fn stops new
-// work, drains the pool, and is re-raised on the caller's goroutine
-// with its original value. fn must be safe for concurrent invocation
-// when workers > 1.
+// work, drains the pool — every in-flight call runs to completion —
+// and is re-raised on the caller's goroutine with its original value.
+// fn must be safe for concurrent invocation when workers > 1.
 func ForEach(workers, n int, fn func(i int)) {
-	// The error path is unreachable, but the panic path is shared.
-	_ = ForEachErr(workers, n, func(i int) error {
-		fn(i)
-		return nil
-	})
-}
-
-// ForEachErr is ForEach for fallible work: the first error observed
-// (lowest index among those encountered) stops new work, the pool
-// drains cleanly — every in-flight call runs to completion — and that
-// error is returned. Panics propagate as in ForEach and take
-// precedence over errors.
-func ForEachErr(workers, n int, fn func(i int) error) error {
 	if n <= 0 {
-		return nil
+		return
 	}
 	w := Workers(workers)
 	if w > n {
@@ -116,11 +103,9 @@ func ForEachErr(workers, n int, fn func(i int) error) error {
 	}
 	if w == 1 {
 		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
+			fn(i)
 		}
-		return nil
+		return
 	}
 
 	var (
@@ -128,8 +113,6 @@ func ForEachErr(workers, n int, fn func(i int) error) error {
 		stop     atomic.Bool
 		mu       sync.Mutex
 		wg       sync.WaitGroup
-		firstIdx = n
-		firstErr error
 		panicVal any
 		panicked bool
 	)
@@ -144,14 +127,7 @@ func ForEachErr(workers, n int, fn func(i int) error) error {
 				stop.Store(true)
 			}
 		}()
-		if err := fn(i); err != nil {
-			mu.Lock()
-			if i < firstIdx {
-				firstIdx, firstErr = i, err
-			}
-			mu.Unlock()
-			stop.Store(true)
-		}
+		fn(i)
 	}
 	for g := 0; g < w; g++ {
 		wg.Add(1)
@@ -170,7 +146,6 @@ func ForEachErr(workers, n int, fn func(i int) error) error {
 	if panicked {
 		panic(panicVal)
 	}
-	return firstErr
 }
 
 // PanicError is a work-item panic captured by ForEachIsolated: the item
@@ -185,7 +160,7 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("par: work item %d panicked: %v", e.Index, e.Value)
 }
 
-// ForEachIsolated runs fn(i) for every i in [0, n) like ForEachErr, but
+// ForEachIsolated runs fn(i) for every i in [0, n) like ForEach, but
 // with full fault isolation between items: a panic or error in one item
 // never stops the others — every index runs exactly once, panics are
 // captured as *PanicError instead of crossing the pool boundary, and

@@ -77,6 +77,11 @@ func TestForEachRespectsConcurrencyBound(t *testing.T) {
 
 func TestForEachPropagatesPanicValue(t *testing.T) {
 	sentinel := errors.New("boom")
+	// The panic hits the first index, so it must also stop new work:
+	// only a small prefix of the index space may run before every
+	// worker sees the stop.
+	const n = 100000
+	var calls atomic.Int64
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -85,52 +90,16 @@ func TestForEachPropagatesPanicValue(t *testing.T) {
 		if r != sentinel {
 			t.Fatalf("panic value %v, want original sentinel", r)
 		}
+		if c := calls.Load(); c >= n {
+			t.Fatalf("pool did not stop after the panic: %d calls", c)
+		}
 	}()
-	ForEach(4, 100, func(i int) {
-		if i == 7 {
+	ForEach(4, n, func(i int) {
+		calls.Add(1)
+		if i == 0 {
 			panic(sentinel)
 		}
 	})
-}
-
-func TestForEachErrStopsEarlyAndDrains(t *testing.T) {
-	sentinel := errors.New("fail-fast")
-	const n = 100000
-	var calls atomic.Int64
-	err := ForEachErr(4, n, func(i int) error {
-		calls.Add(1)
-		if i == 0 {
-			return sentinel
-		}
-		return nil
-	})
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("err = %v, want sentinel", err)
-	}
-	// The pool must stop claiming work after the error: with the error
-	// raised on the very first index, only a small prefix of the index
-	// space may have been touched before every worker saw the stop flag.
-	if c := calls.Load(); c >= n {
-		t.Fatalf("pool did not stop early: %d calls", c)
-	}
-}
-
-func TestForEachErrReturnsLowestIndexError(t *testing.T) {
-	errLow := errors.New("low")
-	errHigh := errors.New("high")
-	// Serial path: both fail, the lower index must win.
-	err := ForEachErr(1, 10, func(i int) error {
-		switch i {
-		case 2:
-			return errLow
-		case 5:
-			return errHigh
-		}
-		return nil
-	})
-	if !errors.Is(err, errLow) {
-		t.Fatalf("err = %v, want lowest-index error", err)
-	}
 }
 
 func TestForEachZeroAndNegativeN(t *testing.T) {

@@ -62,11 +62,13 @@ func newArtifacts(cap int, memo *dse.Memo) *artifacts {
 	return &artifacts{cache: newCache(cap), memo: memo}
 }
 
-// memoBundle is the model-bundle half of a design point's memo key: the
+// MemoBundle is the model-bundle half of a design point's memo key: the
 // compile-cache model key canonically identifies which machine, app
 // family, model method, sample count, and model seed produced the
-// predictors a sweep evaluates against.
-func memoBundle(spec ModelSpec) string { return cacheKey("model", spec) }
+// predictors a sweep evaluates against. Every tool that attaches a
+// dse.Memo keys it through MemoBundle, so one memo journal serves
+// besst-serve, besst-worker and besst-dse alike.
+func MemoBundle(spec ModelSpec) string { return cacheKey("model", spec) }
 
 // models fetches (or develops) the model artifact for a plan's model
 // spec through the compile cache.
@@ -220,7 +222,7 @@ func (a *artifacts) sweep(pl *plan, cfg dse.SweepConfig) (*dse.PreparedSweep, bo
 		return nil, hit, err
 	}
 	prepared := dse.PrepareSweep(ma.models, ma.em.M, ma.em.Cost.Config.NodeSize, cfg)
-	prepared.AttachMemo(a.memo, memoBundle(*pl.req.Model))
+	prepared.AttachMemo(a.memo, MemoBundle(*pl.req.Model))
 	return prepared, hit, nil
 }
 

@@ -6,6 +6,9 @@ import (
 	"testing"
 
 	"besst/internal/dse"
+	"besst/internal/groundtruth"
+	"besst/internal/lulesh"
+	"besst/internal/workflow"
 )
 
 const searchRequest = `{
@@ -36,7 +39,7 @@ func TestSearchCampaign(t *testing.T) {
 		t.Fatalf("POST status %d", resp.StatusCode)
 	}
 	st = waitState(t, ts.URL, st.ID)
-	if st.State != stateDone {
+	if st.State != StateDone {
 		t.Fatalf("campaign %s: %s", st.State, st.Error)
 	}
 	first := result(t, ts.URL, st.ID)
@@ -77,7 +80,7 @@ func TestSearchCampaign(t *testing.T) {
 	// warm memo, and must reproduce the bytes exactly.
 	st2, _ := post(t, ts.URL, searchRequest)
 	st2 = waitState(t, ts.URL, st2.ID)
-	if st2.State != stateDone {
+	if st2.State != StateDone {
 		t.Fatalf("re-run campaign %s: %s", st2.State, st2.Error)
 	}
 	second := result(t, ts.URL, st2.ID)
@@ -147,5 +150,40 @@ func TestConfigMemoShared(t *testing.T) {
 	x := NewShardExecutor(ExecConfig{Workers: 1, Memo: memo})
 	if st := x.MemoStatz(); st.Entries != 1 {
 		t.Fatalf("executor memo stats %+v, want the injected memo", st)
+	}
+}
+
+// TestMemoBundleSharedWithCLI proves one memo serves both tools: a
+// memo warmed the way besst-dse -search warms it (PrepareSweep,
+// AttachMemo with MemoBundle, Search) must answer every point of the
+// equivalent dse_sweep search request from a server holding it.
+func TestMemoBundleSharedWithCLI(t *testing.T) {
+	spec := ModelSpec{Method: "interp", Samples: 2, Seed: 1}
+	em := groundtruth.NewQuartz()
+	models, _ := workflow.DevelopLuleshQuartz(em, spec.Samples, workflow.Interpolation, spec.Seed)
+	cfg := dse.NewSweepConfig(
+		dse.WithEPRs(5, 6, 7, 8),
+		dse.WithRanks(8, 27),
+		dse.WithScenarios(lulesh.ScenarioNoFT, lulesh.ScenarioL1),
+		dse.WithTimesteps(10),
+		dse.WithMCRuns(2),
+		dse.WithSeed(7),
+	)
+	memo := dse.NewMemo(0)
+	prepared := dse.PrepareSweep(models, em.M, em.Cost.Config.NodeSize, cfg)
+	prepared.AttachMemo(memo, MemoBundle(spec))
+	if _, err := prepared.Search(dse.SearchConfig{Budget: 0.5, RoundSize: 2}); err != nil {
+		t.Fatal(err)
+	}
+	warm := memo.Stats()
+
+	_, ts := newTestServer(t, Config{Workers: 2, Memo: memo})
+	st, _ := post(t, ts.URL, searchRequest)
+	if st = waitState(t, ts.URL, st.ID); st.State != StateDone {
+		t.Fatalf("campaign %s: %s", st.State, st.Error)
+	}
+	got := memo.Stats()
+	if got.Misses != warm.Misses || got.Hits <= warm.Hits {
+		t.Fatalf("served search missed the CLI-warmed memo: stats %+v after warming, %+v after serving", warm, got)
 	}
 }

@@ -90,7 +90,7 @@ func waitState(t *testing.T, base, id string) CampaignStatus {
 	deadline := time.Now().Add(90 * time.Second)
 	for {
 		st := status(t, base, id)
-		if st.State != stateQueued && st.State != stateRunning {
+		if st.State != StateQueued && st.State != StateRunning {
 			return st
 		}
 		if time.Now().After(deadline) {
@@ -126,7 +126,7 @@ func runToResult(t *testing.T, base, body string) []byte {
 		t.Fatalf("POST status %d", resp.StatusCode)
 	}
 	final := waitState(t, base, st.ID)
-	if final.State != stateDone {
+	if final.State != StateDone {
 		t.Fatalf("campaign %s settled as %s: %s", st.ID, final.State, final.Error)
 	}
 	return result(t, base, st.ID)
@@ -188,7 +188,7 @@ func TestEquivalentSpellingsShareOneCampaign(t *testing.T) {
 	first := runToResult(t, ts.URL, mcRequest)
 	st, _ := post(t, ts.URL, respelled)
 	final := waitState(t, ts.URL, st.ID)
-	if final.State != stateDone {
+	if final.State != StateDone {
 		t.Fatalf("respelled campaign settled as %s: %s", final.State, final.Error)
 	}
 	second := result(t, ts.URL, st.ID)
@@ -199,7 +199,7 @@ func TestEquivalentSpellingsShareOneCampaign(t *testing.T) {
 	if sz.Cache.Misses != 2 { // one model artifact + one compiled app — ever
 		t.Fatalf("equivalent spellings compiled twice: %+v", sz.Cache)
 	}
-	if len(sz.Campaigns) != 1 || sz.Campaigns[stateDone] != 1 {
+	if len(sz.Campaigns) != 1 || sz.Campaigns[StateDone] != 1 {
 		t.Fatalf("equivalent spellings created distinct campaigns: %+v", sz.Campaigns)
 	}
 }
@@ -221,7 +221,7 @@ func TestJoinInFlightCampaign(t *testing.T) {
 	if st1.ID != st2.ID {
 		t.Fatalf("duplicate POST got a different ID: %s vs %s", st1.ID, st2.ID)
 	}
-	if got := waitState(t, ts.URL, st1.ID); got.State != stateDone {
+	if got := waitState(t, ts.URL, st1.ID); got.State != StateDone {
 		t.Fatalf("campaign settled as %s: %s", got.State, got.Error)
 	}
 	if sz := statz(t, ts.URL); sz.Completed != 1 {
@@ -279,8 +279,8 @@ func TestTenantFairness(t *testing.T) {
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		stA1, stA2, stB1 := status(t, ts.URL, a1.ID), status(t, ts.URL, a2.ID), status(t, ts.URL, b1.ID)
-		if stB1.State == stateRunning || stB1.State == stateDone {
-			if stA1.State == stateRunning && stA2.State != stateQueued {
+		if stB1.State == StateRunning || stB1.State == StateDone {
+			if stA1.State == StateRunning && stA2.State != StateQueued {
 				t.Fatalf("tenant a ran two campaigns concurrently: a1=%s a2=%s", stA1.State, stA2.State)
 			}
 			break
@@ -291,7 +291,7 @@ func TestTenantFairness(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	for _, id := range []string{a1.ID, a2.ID, b1.ID} {
-		if st := waitState(t, ts.URL, id); st.State != stateDone {
+		if st := waitState(t, ts.URL, id); st.State != StateDone {
 			t.Fatalf("campaign %s settled as %s: %s", id, st.State, st.Error)
 		}
 	}
@@ -324,7 +324,7 @@ func TestDrainCheckpointsAndResumes(t *testing.T) {
 		if cur.Progress.TrialsDone >= 2 {
 			break
 		}
-		if cur.State == stateDone || cur.State == stateFailed {
+		if cur.State == StateDone || cur.State == StateFailed {
 			t.Fatalf("campaign finished before the drain could interrupt it (%s)", cur.State)
 		}
 		if time.Now().After(deadline) {
@@ -335,7 +335,7 @@ func TestDrainCheckpointsAndResumes(t *testing.T) {
 	srv1.Drain() // the SIGTERM path minus the signal plumbing
 
 	interrupted := status(t, ts1.URL, st.ID)
-	if interrupted.State != stateInterrupted {
+	if interrupted.State != StateInterrupted {
 		t.Fatalf("drained campaign is %s, want interrupted", interrupted.State)
 	}
 	journals, err := filepath.Glob(filepath.Join(state, "CKPT_serve_*.jsonl"))
@@ -350,7 +350,7 @@ func TestDrainCheckpointsAndResumes(t *testing.T) {
 		t.Fatalf("resume got a different campaign ID: %s vs %s", st2.ID, st.ID)
 	}
 	final := waitState(t, ts2.URL, st2.ID)
-	if final.State != stateDone {
+	if final.State != StateDone {
 		t.Fatalf("resumed campaign settled as %s: %s", final.State, final.Error)
 	}
 	if final.Progress.Replayed == 0 {
@@ -386,7 +386,7 @@ func TestWatchStreamsStatus(t *testing.T) {
 	if err := sc.Err(); err != nil {
 		t.Fatalf("watch stream: %v", err)
 	}
-	if lines == 0 || last.State != stateDone {
+	if lines == 0 || last.State != StateDone {
 		t.Fatalf("watch ended after %d lines in state %q, want done", lines, last.State)
 	}
 }
@@ -489,7 +489,7 @@ func TestBackendExecutionByteIdentical(t *testing.T) {
 		want := runToResult(t, local.URL, body)
 		st, _ := post(t, backed.URL, body)
 		final := waitState(t, backed.URL, st.ID)
-		if final.State != stateDone {
+		if final.State != StateDone {
 			t.Fatalf("backend campaign settled as %s: %s", final.State, final.Error)
 		}
 		if len(final.Divergences) != 1 || !strings.Contains(final.Divergences[0], "2/3 replicas agreed") {
@@ -511,7 +511,7 @@ func TestCampaignTTLEviction(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("POST status %d", resp.StatusCode)
 	}
-	if final := waitState(t, ts.URL, st.ID); final.State != stateDone {
+	if final := waitState(t, ts.URL, st.ID); final.State != StateDone {
 		t.Fatalf("campaign settled as %s: %s", final.State, final.Error)
 	}
 	deadline := time.Now().Add(10 * time.Second)

@@ -59,15 +59,6 @@ const (
 	StateInterrupted = "interrupted"
 )
 
-// Internal aliases: the handlers predate the exported names.
-const (
-	stateQueued      = StateQueued
-	stateRunning     = StateRunning
-	stateDone        = StateDone
-	stateFailed      = StateFailed
-	stateInterrupted = StateInterrupted
-)
-
 // Config parameterizes a Server. The zero value is usable: sensible
 // caps, no checkpoint journals.
 type Config struct {
@@ -134,7 +125,8 @@ type Backend interface {
 
 // BackendCollector receives distributed-execution telemetry. It is the
 // shard-level subset of *obs.Collector's hooks, typed with builtins
-// only so obs satisfies it structurally.
+// only so obs satisfies it structurally. A nil BackendCollector is
+// valid and drops everything.
 type BackendCollector interface {
 	ShardDone(shard, lo, hi int)
 	ShardRetry(shard, attempt int)
@@ -147,10 +139,18 @@ type BackendCollector interface {
 // first-class divergence descriptions on the campaign status, never
 // silently discarded.
 type BackendReport struct {
-	Shards      int
-	Replicas    int
-	Retries     int
+	// Shards is the number of index-range shards the campaign split into.
+	Shards int
+	// Replicas is the replication degree each shard ran at.
+	Replicas int
+	// Retries counts dispatch attempts beyond the first, across all
+	// shard replicas (worker loss, timeouts, transport errors).
+	Retries int
+	// WorkersLost counts workers marked down at least once.
 	WorkersLost int
+	// Divergences describes shards whose replicas disagreed but still
+	// reached majority — accepted, yet surfaced: silent state corruption
+	// is the failure mode replication exists to catch.
 	Divergences []string
 }
 
@@ -299,7 +299,7 @@ func (s *Server) dispatch() {
 		s.queue = append(s.queue[:idx], s.queue[idx+1:]...)
 		s.active++
 		s.tenantActive[c.tenant]++
-		c.state = stateRunning
+		c.state = StateRunning
 		s.wg.Add(1)
 		go s.runCampaign(c)
 	}
@@ -314,13 +314,13 @@ func (s *Server) runCampaign(c *campaign) {
 	c.cacheHit = hit
 	switch {
 	case err != nil:
-		c.state = stateFailed
+		c.state = StateFailed
 		c.errMsg = err.Error()
 	case body == nil:
-		c.state = stateInterrupted
+		c.state = StateInterrupted
 		c.errMsg = "campaign drained before completion; re-POST the request to resume"
 	default:
-		c.state = stateDone
+		c.state = StateDone
 		c.result = body
 		s.completed++
 	}
@@ -363,7 +363,7 @@ func (s *Server) Drain() {
 	s.wg.Wait()
 	s.mu.Lock()
 	for _, c := range s.queue {
-		c.state = stateInterrupted
+		c.state = StateInterrupted
 		c.errMsg = "server drained before the campaign started; re-POST after restart"
 		c.settledAt = time.Now()
 		close(c.done)
@@ -461,7 +461,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	s.mu.Lock()
 	if existing, ok := s.campaigns[id]; ok {
-		if existing.state == stateQueued || existing.state == stateRunning {
+		if existing.state == StateQueued || existing.state == StateRunning {
 			// Identical request already in flight: join it.
 			st := s.statusLocked(existing)
 			s.mu.Unlock()
@@ -492,7 +492,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		tenant:    pl.req.Tenant,
 		collector: obs.NewCollector(),
 		done:      make(chan struct{}),
-		state:     stateQueued,
+		state:     StateQueued,
 	}
 	s.campaigns[id] = c
 	s.queue = append(s.queue, c)
@@ -540,7 +540,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		if flusher != nil {
 			flusher.Flush()
 		}
-		if st.State != stateQueued && st.State != stateRunning {
+		if st.State != StateQueued && st.State != StateRunning {
 			return
 		}
 		select {
@@ -563,7 +563,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	state, body := c.state, c.result
 	s.mu.Unlock()
-	if state != stateDone {
+	if state != StateDone {
 		writeError(w, http.StatusConflict, fmt.Sprintf("campaign is %s, not done", state))
 		return
 	}
@@ -650,10 +650,10 @@ func (s *Server) statusLocked(c *campaign) CampaignStatus {
 		Divergences:   c.divergences,
 		Progress:      c.collector.Progress(),
 	}
-	if c.state == stateDone {
+	if c.state == StateDone {
 		st.ResultURL = "/v1/campaigns/" + c.id + "/result"
 	}
-	if c.state == stateDone || c.state == stateFailed {
+	if c.state == StateDone || c.state == StateFailed {
 		hit := c.cacheHit
 		st.CacheHit = &hit
 	}
