@@ -14,8 +14,8 @@
 // The chaos flags arm the deterministic fault injector — -chaos-kill
 // SIGKILLs the worker itself mid-shard on a schedule that is a pure
 // function of (-chaos-seed, unit index), which is how the dist
-// package's TestDistributedByteIdentity proves worker loss cannot
-// change result bytes.
+// package's TestSIGKILLReplicaMidShardByteIdentical proves worker loss
+// cannot change result bytes.
 package main
 
 import (

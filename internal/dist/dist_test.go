@@ -253,20 +253,31 @@ func TestWorkerAuth(t *testing.T) {
 	}
 }
 
-// TestDistributedByteIdentity is the distributed layer's one gate on
-// its central claim: sharding, replication, and worker loss never
-// change result bytes. It builds the real besst-worker binary and runs
-// the quickstart campaign over a mixed fleet — one in-process worker
-// (so -race sees the worker side), one besst-worker process, and one
-// besst-worker armed with -chaos-kill 1 that SIGKILLs itself mid-shard
-// the first time it executes a unit — at every combination of shards
-// {1, 4} × replicas {1, 2, 3}. Each merged document must equal the
-// single-process reference, which must equal the committed serve
-// golden, and the chaos worker must actually have been lost.
-func TestDistributedByteIdentity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds besst-worker and spawns worker processes")
-	}
+// The distributed layer's central claim — sharding, replication, and
+// worker loss never change result bytes — is gated on the real
+// besst-worker binary by two tests sharing one fixture:
+// TestByteIdenticalAcrossGeometries (every shards × replicas geometry
+// over a mixed fleet) and TestSIGKILLReplicaMidShardByteIdentical (a
+// besst-worker armed with -chaos-kill 1 dies mid-shard). Both compare
+// every merged document with the single-process reference, which must
+// equal the committed serve golden.
+
+// gateFixture is what both byte-identity tests share: the quickstart
+// request, the in-process executor, its single-process reference
+// document, and a freshly built besst-worker binary.
+type gateFixture struct {
+	request []byte
+	ex      *serve.ShardExecutor
+	want    []byte
+	exe     string
+}
+
+// newGateFixture runs the quickstart campaign in process, checks the
+// result against results/GOLDEN_serve_smoke.json, and builds
+// besst/cmd/besst-worker with the toolchain under runtime.GOROOT()
+// into t.TempDir().
+func newGateFixture(t *testing.T) *gateFixture {
+	t.Helper()
 	request := []byte(serveclient.QuickstartRequest)
 	p, err := serve.ParsePlan(request)
 	if err != nil {
@@ -288,50 +299,85 @@ func TestDistributedByteIdentity(t *testing.T) {
 	if !bytes.Equal(want, golden) {
 		t.Fatalf("single-process reference diverged from the serve golden (%d vs %d bytes)", len(want), len(golden))
 	}
-
 	exe := filepath.Join(t.TempDir(), "besst-worker")
 	build := exec.Command(filepath.Join(runtime.GOROOT(), "bin", "go"), "build", "-o", exe, "besst/cmd/besst-worker")
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("build besst-worker: %v\n%s", err, out)
 	}
-	// The chaos worker sits at index 1, the first pick of shard 0
-	// replica 0, so the first geometry already loses it.
-	chaos := spawnWorker(t, exe, "-chaos-kill", "1", "-chaos-seed", "42")
-	urls := []string{
-		startWorker(t, WorkerConfig{AuthToken: gateToken, Executor: ex}),
-		chaos.url,
-		spawnWorker(t, exe).url,
-	}
+	return &gateFixture{request: request, ex: ex, want: want, exe: exe}
+}
 
-	lost, retries := 0, 0
+// run merges the request over workers at one geometry, with the gate's
+// coordinator settings, and requires the reference bytes and no
+// divergences.
+func (f *gateFixture) run(t *testing.T, workers []string, shards, replicas int) serve.BackendReport {
+	t.Helper()
+	c := newCoordinator(t, Config{
+		Workers:      workers,
+		Shards:       shards,
+		Replicas:     replicas,
+		AuthToken:    gateToken,
+		ShardTimeout: time.Minute,
+		Heartbeat:    150 * time.Millisecond,
+		MaxAttempts:  6,
+		BaseBackoff:  20 * time.Millisecond,
+	})
+	doc, rep, err := RunRequest(c, f.request, nil, nil)
+	if err != nil {
+		t.Fatalf("shards=%d replicas=%d: %v", shards, replicas, err)
+	}
+	if !bytes.Equal(doc, f.want) {
+		t.Fatalf("shards=%d replicas=%d: merged doc diverged (%d vs %d bytes)", shards, replicas, len(doc), len(f.want))
+	}
+	if len(rep.Divergences) != 0 {
+		t.Fatalf("shards=%d replicas=%d: unexpected divergences %v", shards, replicas, rep.Divergences)
+	}
+	return rep
+}
+
+// TestByteIdenticalAcrossGeometries runs the quickstart campaign over
+// one in-process worker (so -race sees the worker side) and two
+// besst-worker processes at every combination of shards {1, 4} ×
+// replicas {1, 2, 3}; every merge must equal the reference.
+func TestByteIdenticalAcrossGeometries(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds besst-worker and spawns worker processes")
+	}
+	f := newGateFixture(t)
+	urls := []string{
+		startWorker(t, WorkerConfig{AuthToken: gateToken, Executor: f.ex}),
+		spawnWorker(t, f.exe).url,
+		spawnWorker(t, f.exe).url,
+	}
 	for _, shards := range []int{1, 4} {
 		for _, replicas := range []int{1, 2, 3} {
-			c := newCoordinator(t, Config{
-				Workers:      urls,
-				Shards:       shards,
-				Replicas:     replicas,
-				AuthToken:    gateToken,
-				ShardTimeout: time.Minute,
-				Heartbeat:    150 * time.Millisecond,
-				MaxAttempts:  6,
-				BaseBackoff:  20 * time.Millisecond,
-			})
-			doc, rep, err := RunRequest(c, request, nil, nil)
-			if err != nil {
-				t.Fatalf("shards=%d replicas=%d: %v", shards, replicas, err)
-			}
-			if !bytes.Equal(doc, want) {
-				t.Fatalf("shards=%d replicas=%d: merged doc diverged (%d vs %d bytes)", shards, replicas, len(doc), len(want))
-			}
-			if len(rep.Divergences) != 0 {
-				t.Fatalf("shards=%d replicas=%d: unexpected divergences %v", shards, replicas, rep.Divergences)
-			}
-			lost += rep.WorkersLost
-			retries += rep.Retries
+			f.run(t, urls, shards, replicas)
 		}
 	}
-	if lost == 0 || retries == 0 {
-		t.Fatalf("the chaos worker was never lost (lost=%d, retries=%d): worker-loss tolerance went unexercised", lost, retries)
+}
+
+// TestSIGKILLReplicaMidShardByteIdentical puts a besst-worker armed
+// with -chaos-kill 1, which SIGKILLs itself the first time it executes
+// a unit, between an in-process worker and a plain besst-worker. The
+// merge must still equal the reference, the coordinator must report
+// the lost worker and its retries, and the chaos process must have
+// died by its own injector.
+func TestSIGKILLReplicaMidShardByteIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds besst-worker and spawns worker processes")
+	}
+	f := newGateFixture(t)
+	// The chaos worker sits at index 1, the first pick of shard 0
+	// replica 0, so it is contacted while alive and dies mid-shard.
+	chaos := spawnWorker(t, f.exe, "-chaos-kill", "1", "-chaos-seed", "42")
+	urls := []string{
+		startWorker(t, WorkerConfig{AuthToken: gateToken, Executor: f.ex}),
+		chaos.url,
+		spawnWorker(t, f.exe).url,
+	}
+	rep := f.run(t, urls, 2, 2)
+	if rep.WorkersLost == 0 || rep.Retries == 0 {
+		t.Fatalf("the chaos worker was never lost (lost=%d, retries=%d): worker-loss tolerance went unexercised", rep.WorkersLost, rep.Retries)
 	}
 	// The chaos worker must be dead by its own injector, not by the
 	// test's cleanup.

@@ -26,9 +26,8 @@ type SmokeConfig struct {
 // QuickstartRequest is the README quickstart campaign: a small
 // direct-mode Monte Carlo run whose result document is committed as a
 // golden file. Everything is pinned (seed included) so the bytes are
-// stable. The distributed byte-identity gate (internal/dist's
-// TestDistributedByteIdentity) reuses it so the sharded merge can be
-// diffed against the same golden.
+// stable. The distributed byte-identity tests in internal/dist reuse
+// it so the sharded merge can be diffed against the same golden.
 const QuickstartRequest = `{
   "schema_version": 1,
   "kind": "monte_carlo",
