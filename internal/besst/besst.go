@@ -88,16 +88,19 @@ func (r *Result) Payload() (json.RawMessage, error) {
 // Total returns the sum of the components.
 func (b Breakdown) Total() float64 { return b.ComputeSec + b.CommSec + b.CkptSec }
 
-// compiled instruction kinds.
+// compiled instruction kinds. The walker descends into ckLoop and
+// ckPeriodic nodes rather than yielding them (but see walker.next).
 type ckind int
 
 const (
 	ckComp ckind = iota
 	ckComm
 	ckCkpt
-	ckStepEnd
+	ckLoop
+	ckPeriodic
 )
 
+// cinstr is one static instruction of the compiled program.
 type cinstr struct {
 	kind      ckind
 	op        string
@@ -107,20 +110,24 @@ type cinstr struct {
 	bytes     int64
 	neighbors int
 	level     fti.Level
-	step      int // ckStepEnd: completed top-level iteration index
-	syncID    int // ckComm/ckCkpt: dynamic synchronization instance id
-	// detCost is the instruction's deterministic cost, precomputed once
-	// per CompiledRun: Predict(params) for ckComp/ckCkpt, the network
-	// collective cost for ckComm. Both are pure functions of compiled
-	// state, so hoisting them out of the per-rank per-trial hot loops
-	// changes no output bytes. Monte Carlo Sample draws still happen
-	// per trial; ckComm costs are deterministic in every mode.
+	// detCost is the deterministic cost, computed once per CompiledRun:
+	// Predict(params) for ckComp/ckCkpt, the network collective cost for
+	// ckComm. Both are pure, so hoisting them changes no output bytes.
 	detCost float64
 	// logNormal records that model implements perfmodel.LogNormal, with
-	// sigma its LogSigma, so sample scales detCost by one draw instead
-	// of evaluating the model again.
+	// sigma its LogSigma, so sample scales detCost by one draw.
 	logNormal bool
 	sigma     float64
+
+	// body is a ckLoop node's body, run count times (top: a loop of the
+	// program's top level, whose iterations are steps), or a ckPeriodic
+	// node's, run on enclosing iterations i with i%period == phase =
+	// Offset%Period — the unrolled semantics, negative offsets included.
+	body   []cinstr
+	count  int
+	period int
+	phase  int
+	top    bool
 }
 
 // sample draws one Monte Carlo cost of a ckComp/ckCkpt instruction. It
@@ -138,91 +145,158 @@ func (c *cinstr) sample(rng *stats.RNG) float64 {
 	return c.detCost
 }
 
-// compile expands the program into the flat dynamic instruction list
-// shared (read-only) by all rank components. Top-level loop iterations
-// get step-end markers for the Figs 7-8 time series. It also returns
-// the number of synchronization instances (syncIDs 0..syncs-1). The
-// walk runs twice: the first pass only counts, so the second fills a
-// slice of exactly the expanded length without growing it.
-func compile(app *beo.AppBEO) (prog []cinstr, syncs int) {
-	var out []cinstr
-	n, syncID, counting := 0, 0, true
-	push := func(c cinstr) {
-		if counting {
-			n++
-		} else {
-			out = append(out, c)
+// shape returns the number of static instructions in is, nested bodies
+// included, and how deeply Loop and Periodic nodes nest in it.
+func shape(is []beo.Instr) (nodes, depth int) {
+	nodes = len(is)
+	for _, in := range is {
+		var body []beo.Instr
+		switch v := in.(type) {
+		case beo.Loop:
+			body = v.Body
+		case beo.Periodic:
+			body = v.Body
+		default:
+			continue
 		}
+		n, d := shape(body)
+		nodes, depth = nodes+n, max(depth, d+1)
 	}
-	var emit func(is []beo.Instr, iter int, topLevel bool)
-	emit = func(is []beo.Instr, iter int, topLevel bool) {
-		for _, in := range is {
-			switch v := in.(type) {
-			case beo.Comp:
-				push(cinstr{kind: ckComp, op: v.Op, params: v.Params})
-			case beo.Comm:
-				push(cinstr{
-					kind: ckComm, pattern: v.Pattern, bytes: v.Bytes,
-					neighbors: v.Neighbors, syncID: syncID,
-				})
-				syncID++
-			case beo.Ckpt:
-				push(cinstr{
-					kind: ckCkpt, op: v.Op, params: v.Params,
-					level: v.Level, syncID: syncID,
-				})
-				syncID++
-			case beo.Loop:
-				for i := 0; i < v.Count; i++ {
-					emit(v.Body, i, false)
-					if topLevel {
-						push(cinstr{kind: ckStepEnd, step: i})
-					}
-				}
-			case beo.Periodic:
-				if v.Period <= 0 {
-					panic("besst: non-positive Periodic period")
-				}
-				if iter%v.Period == v.Offset%v.Period {
-					emit(v.Body, iter, false)
-				}
-			default:
-				panic(fmt.Sprintf("besst: unknown instruction %T", in))
+	return nodes, depth
+}
+
+// compile compiles one instruction list, each static instruction once,
+// keeping its loop structure, into the front of *slab (sized by shape).
+// top marks the program's own list, whose loops are the step loops. A
+// Periodic with a non-positive period panics here, wherever it sits.
+func (cr *CompiledRun) compile(is []beo.Instr, top bool, net *network.Model, slab *[]cinstr) []cinstr {
+	out := (*slab)[:len(is):len(is)]
+	*slab = (*slab)[len(is):]
+	for i, in := range is {
+		c := &out[i]
+		switch v := in.(type) {
+		case beo.Comp:
+			*c = cinstr{kind: ckComp, op: v.Op, params: v.Params}
+		case beo.Ckpt:
+			*c = cinstr{kind: ckCkpt, op: v.Op, params: v.Params, level: v.Level}
+		case beo.Comm:
+			*c = cinstr{kind: ckComm, pattern: v.Pattern, bytes: v.Bytes, neighbors: v.Neighbors,
+				detCost: commCost(net, v, cr.app.Ranks)}
+		case beo.Loop:
+			*c = cinstr{kind: ckLoop, count: v.Count, top: top, body: cr.compile(v.Body, false, net, slab)}
+		case beo.Periodic:
+			if v.Period <= 0 {
+				panic("besst: non-positive Periodic period")
+			}
+			*c = cinstr{kind: ckPeriodic, period: v.Period, phase: v.Offset % v.Period,
+				body: cr.compile(v.Body, false, net, slab)}
+		default:
+			panic(fmt.Sprintf("besst: unknown instruction %T", in))
+		}
+		if c.kind == ckComp || c.kind == ckCkpt {
+			// The first Predict materializes lazy model state (table
+			// rebuilds) single-threaded; trials only read it.
+			c.model = cr.arch.ModelFor(c.op)
+			c.detCost = c.model.Predict(c.params)
+			if ln, ok := c.model.(perfmodel.LogNormal); ok {
+				c.logNormal, c.sigma = true, ln.LogSigma()
 			}
 		}
 	}
-	emit(app.Program, 0, true)
-	out, syncID, counting = make([]cinstr, 0, n), 0, false
-	emit(app.Program, 0, true)
-	return out, syncID
+	return out
 }
 
 // commCost returns the deterministic network cost of a communication
 // instruction for `ranks` participants.
-func commCost(net *network.Model, c cinstr, ranks int) float64 {
-	switch c.pattern {
+func commCost(net *network.Model, c beo.Comm, ranks int) float64 {
+	switch c.Pattern {
 	case beo.Barrier:
 		return net.Barrier(ranks)
 	case beo.Allreduce:
-		return net.Allreduce(ranks, c.bytes)
+		return net.Allreduce(ranks, c.Bytes)
 	case beo.Broadcast:
-		return net.Broadcast(ranks, c.bytes)
+		return net.Broadcast(ranks, c.Bytes)
 	case beo.Gather:
-		return net.Gather(ranks, c.bytes)
+		return net.Gather(ranks, c.Bytes)
 	case beo.AllToAll:
-		return net.AllToAll(ranks, c.bytes)
+		return net.AllToAll(ranks, c.Bytes)
 	case beo.Halo:
-		return net.NearestNeighbor(c.neighbors, c.bytes)
+		return net.NearestNeighbor(c.Neighbors, c.Bytes)
 	default:
-		panic(fmt.Sprintf("besst: unknown comm pattern %v", c.pattern))
+		panic(fmt.Sprintf("besst: unknown comm pattern %v", c.Pattern))
 	}
 }
 
+// frame is one level of a walker's stack: the Loop or Periodic node
+// whose body runs, the next body index, and the iteration in [iter,
+// end); a periodic frame runs once, at its enclosing iteration.
+type frame struct {
+	n         *cinstr
+	pc        int
+	iter, end int
+}
+
+// walkerFrames frames on the stack serve programs nested up to seven
+// Loop/Periodic levels deep; deeper ones get a heap slice.
+const walkerFrames = 8
+
+// walker is a cursor yielding a compiled program's dynamic instruction
+// sequence. It reslices, never appends, so stack storage stays there.
+type walker struct {
+	stack []frame // the live frames; capacity CompiledRun.depth
+}
+
+// walker starts a walk with buf's frames, or fresh ones if buf is short.
+func (cr *CompiledRun) walker(buf []frame) walker {
+	if cap(buf) < cr.depth {
+		buf = make([]frame, 0, cr.depth)
+	}
+	return walker{stack: append(buf[:0], frame{n: &cr.root, end: 1})}
+}
+
+// next returns the next ckComp, ckComm or ckCkpt node, a top-level
+// ckLoop node as each of its iterations (a step) ends, or nil at the end.
+func (w *walker) next() *cinstr {
+	for len(w.stack) > 0 {
+		f := &w.stack[len(w.stack)-1]
+		if f.pc < len(f.n.body) {
+			c := &f.n.body[f.pc]
+			f.pc++
+			switch c.kind {
+			case ckLoop:
+				if c.count > 0 {
+					w.stack = w.stack[:len(w.stack)+1]
+					w.stack[len(w.stack)-1] = frame{n: c, end: c.count}
+				}
+			case ckPeriodic:
+				if f.iter%c.period == c.phase {
+					w.stack = w.stack[:len(w.stack)+1]
+					w.stack[len(w.stack)-1] = frame{n: c, iter: f.iter, end: f.iter + 1}
+				}
+			default:
+				return c
+			}
+			continue
+		}
+		// The body is done: run it again or leave it.
+		n := f.n
+		if f.iter++; f.iter < f.end {
+			f.pc = 0
+		} else {
+			w.stack = w.stack[:len(w.stack)-1]
+		}
+		if n.top {
+			return n
+		}
+	}
+	return nil
+}
+
 // CompiledRun caches everything that is invariant across replications
-// of one (app, arch) pair: validation, the flattened instruction list
-// with its model bindings and network costs resolved, and the exact
-// result-series lengths so per-trial slices are allocated once at full
-// capacity instead of growing step by step.
+// of one (app, arch) pair: validation, the compiled program (see
+// compile; trials walk it, so compiling costs O(program text), not
+// O(timesteps)), and the exact result-series lengths so per-trial
+// slices are allocated once at full capacity.
 //
 // Compiling also forces every lazy model state (interpolation-table
 // rebuilds) to materialize while still single-threaded, so concurrent
@@ -233,24 +307,15 @@ func commCost(net *network.Model, c cinstr, ranks int) float64 {
 type CompiledRun struct {
 	app   *beo.AppBEO
 	arch  *beo.ArchBEO
-	prog  []cinstr
-	steps int // number of ckStepEnd markers per run
-	ckpts int // number of ckCkpt instances per run
+	root  cinstr // one-iteration, non-step loop around the program
+	depth int    // frames a walk needs: 1 + the Loop/Periodic nesting
+	steps int    // top-level loop iterations (step ends) per run
+	ckpts int    // dynamic ckCkpt instances per run
 
-	// syncIdx is the dense syncID -> prog index table for the DES
-	// coordinator (syncIDs are assigned contiguously by compile); it
-	// replaces a per-trial map build. Indices rather than instruction
-	// copies: cinstr is large and half a program can be sync points, so
-	// duplicating them would roughly double the compile footprint that
-	// DSE sweeps pay per cell.
-	syncIdx []int32
-
-	// desPool recycles fully wired DES simulations across trials: a
-	// desSim is reset (engine rewound, RNGs reseeded, program counters
-	// zeroed) before every run, so a pooled instance is byte-identical
-	// to a freshly built one. Trials are pure functions of their
-	// pre-drawn seeds, which keeps the pool safe under concurrent
-	// replication.
+	// desPool recycles fully wired DES simulations across trials: reset
+	// rewinds a desSim before every run to match a fresh build byte for
+	// byte. Trials are pure functions of their pre-drawn seeds, which
+	// keeps the pool safe under concurrent replication.
 	desPool sync.Pool
 }
 
@@ -265,78 +330,24 @@ func Compile(app *beo.AppBEO, arch *beo.ArchBEO) *CompiledRun {
 	return cr
 }
 
-// newCompiledRun builds the run object from validated inputs.
+// newCompiledRun builds the run object from validated inputs, counting
+// the result series in one dry walk.
 func newCompiledRun(app *beo.AppBEO, arch *beo.ArchBEO) *CompiledRun {
-	prog, syncs := compile(app)
-	cr := &CompiledRun{
-		app:     app,
-		arch:    arch,
-		prog:    prog,
-		syncIdx: make([]int32, 0, syncs),
-	}
-	net := arch.Machine.Network()
-	// Loop expansion repeats the same (op, params) pair once per
-	// iteration — often hundreds of copies sharing one params map — and
-	// table-model Predict allocates interpolation scratch per call, so
-	// memoize the deterministic cost per op. Entries are only reused when
-	// the params compare exactly equal, which keeps the memo a pure
-	// shortcut: every path still yields Predict(params) bit for bit.
-	type costMemo struct {
-		params perfmodel.Params
-		cost   float64
-	}
-	memo := make(map[string]costMemo)
-	for i := range cr.prog {
-		c := &cr.prog[i]
+	nodes, depth := shape(app.Program)
+	cr := &CompiledRun{app: app, arch: arch, depth: depth + 1}
+	slab := make([]cinstr, nodes)
+	cr.root = cinstr{kind: ckLoop, body: cr.compile(app.Program, true, arch.Machine.Network(), &slab), count: 1}
+	var frames [walkerFrames]frame
+	w := cr.walker(frames[:0])
+	for c := w.next(); c != nil; c = w.next() {
 		switch c.kind {
-		case ckComp, ckCkpt:
-			c.model = arch.ModelFor(c.op)
-			// Precompute the deterministic cost. The first Predict per
-			// model also triggers its lazy state (table rebuilds) while
-			// still single-threaded; Predict and Sample are read-only
-			// afterwards.
-			if m, ok := memo[c.op]; ok && sameParams(m.params, c.params) {
-				c.detCost = m.cost
-			} else {
-				c.detCost = c.model.Predict(c.params)
-				memo[c.op] = costMemo{params: c.params, cost: c.detCost}
-			}
-			if ln, ok := c.model.(perfmodel.LogNormal); ok {
-				c.logNormal, c.sigma = true, ln.LogSigma()
-			}
-			if c.kind == ckCkpt {
-				cr.ckpts++
-			}
-		case ckComm:
-			c.detCost = commCost(net, *c, app.Ranks)
-		case ckStepEnd:
+		case ckLoop:
 			cr.steps++
-		}
-		if c.kind == ckComm || c.kind == ckCkpt {
-			if c.syncID != len(cr.syncIdx) {
-				panic(fmt.Sprintf("besst: non-contiguous syncID %d at instruction %d", c.syncID, i))
-			}
-			cr.syncIdx = append(cr.syncIdx, int32(i))
+		case ckCkpt:
+			cr.ckpts++
 		}
 	}
 	return cr
-}
-
-// sameParams reports whether two parameter maps are exactly equal. Used
-// only to validate compile-time cost memo hits; exact (not approximate)
-// float comparison is deliberate — any difference at all must force a
-// fresh Predict so memoization stays invisible in the output bytes.
-func sameParams(a, b perfmodel.Params) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		//lint:ignore floateq memo validity needs bit-exact comparison
-		if bv, ok := b[k]; !ok || bv != v {
-			return false
-		}
-	}
-	return true
 }
 
 // Makespans extracts the makespan distribution from replications.
@@ -349,9 +360,10 @@ func Makespans(rs []*Result) []float64 {
 }
 
 // simulateDirect evaluates the lockstep program closed-form. The hot
-// loop indexes the shared compiled program in place (no per-iteration
-// struct copy) and uses the result-series lengths counted at compile
-// time so the per-trial slices never reallocate mid-run.
+// loop walks the shared compiled program in place (no per-instruction
+// struct copy, walker frames on the stack) and uses the result-series
+// lengths counted at compile time so the per-trial slices never
+// reallocate mid-run.
 func simulateDirect(cr *CompiledRun, cfg RunConfig) *Result {
 	rng := stats.NewRNG(cfg.Seed)
 	res := &Result{
@@ -360,8 +372,9 @@ func simulateDirect(cr *CompiledRun, cfg RunConfig) *Result {
 	}
 	ranks := cr.app.Ranks
 	now := 0.0
-	for i := range cr.prog {
-		c := &cr.prog[i]
+	var frames [walkerFrames]frame
+	w := cr.walker(frames[:0])
+	for c := w.next(); c != nil; c = w.next() {
 		switch c.kind {
 		case ckComp:
 			before := now
@@ -393,7 +406,7 @@ func simulateDirect(cr *CompiledRun, cfg RunConfig) *Result {
 			res.Breakdown.CkptSec += dt
 			now += dt
 			res.CkptTimes = append(res.CkptTimes, now)
-		case ckStepEnd:
+		case ckLoop: // a step ended
 			res.StepCompletions = append(res.StepCompletions, now)
 		}
 	}

@@ -1,8 +1,11 @@
 package besst
 
 import (
+	"fmt"
 	"math"
+	"math/rand/v2"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"besst/internal/beo"
@@ -36,27 +39,205 @@ func commFree(arch *beo.ArchBEO) *beo.ArchBEO {
 	return arch
 }
 
-func TestCompileCounts(t *testing.T) {
-	app := lulesh.App(10, 64, 200, lulesh.ScenarioL1, cfg)
-	prog, syncs := compile(app)
-	// Per step: comp + halo + allreduce (+ ckpt on 5 steps) + stepEnd.
-	want := 200*4 + 5
-	if len(prog) != want || cap(prog) != want {
-		t.Fatalf("compiled length %d capacity %d, want %d for both", len(prog), cap(prog), want)
-	}
-	// Sync ids must be unique and dense.
-	seen := map[int]bool{}
-	for _, c := range prog {
-		if c.kind == ckComm || c.kind == ckCkpt {
-			if seen[c.syncID] {
-				t.Fatalf("duplicate sync id %d", c.syncID)
+// unroll is the reference the walker is checked against: the
+// original compile, which expanded every loop into one instruction per
+// dynamic instruction. A step end is listed as a bare ckLoop entry.
+func unroll(app *beo.AppBEO) []cinstr {
+	var out []cinstr
+	var emit func(is []beo.Instr, iter int, topLevel bool)
+	emit = func(is []beo.Instr, iter int, topLevel bool) {
+		for _, in := range is {
+			switch v := in.(type) {
+			case beo.Comp:
+				out = append(out, cinstr{kind: ckComp, op: v.Op, params: v.Params})
+			case beo.Comm:
+				out = append(out, cinstr{
+					kind: ckComm, pattern: v.Pattern, bytes: v.Bytes, neighbors: v.Neighbors,
+				})
+			case beo.Ckpt:
+				out = append(out, cinstr{kind: ckCkpt, op: v.Op, params: v.Params, level: v.Level})
+			case beo.Loop:
+				for i := 0; i < v.Count; i++ {
+					emit(v.Body, i, false)
+					if topLevel {
+						out = append(out, cinstr{kind: ckLoop})
+					}
+				}
+			case beo.Periodic:
+				if v.Period <= 0 {
+					panic("besst: non-positive Periodic period")
+				}
+				if iter%v.Period == v.Offset%v.Period {
+					emit(v.Body, iter, false)
+				}
+			default:
+				panic(fmt.Sprintf("besst: unknown instruction %T", in))
 			}
-			seen[c.syncID] = true
 		}
 	}
-	if len(seen) != 200*2+5 || syncs != len(seen) {
-		t.Fatalf("sync instances = %d, compile counted %d", len(seen), syncs)
+	emit(app.Program, 0, true)
+	return out
+}
+
+// randomApps generates n seeded random 8-rank AppBEOs over the compute
+// ops c0 and c1 and the checkpoint ops k1..k4 (one per FTI level), and
+// the set of program features they exercised. Loops nest up to three
+// deep; every list may be empty, hold Comp/Comm/Ckpt instructions, or
+// a Periodic, including at the top level, outside any loop.
+func randomApps(seed uint64, n int) ([]*beo.AppBEO, map[string]bool) {
+	rng := rand.New(rand.NewPCG(seed, 7))
+	seen := map[string]bool{}
+	patterns := []beo.CommPattern{beo.Barrier, beo.Allreduce, beo.Broadcast, beo.Gather, beo.AllToAll, beo.Halo}
+	var gen func(loops, periodics int) []beo.Instr
+	gen = func(loops, periodics int) []beo.Instr {
+		n := rng.IntN(5)
+		if loops == 0 && periodics == 0 {
+			n = 1 + rng.IntN(6) // the program itself: rarely empty
+		}
+		is := make([]beo.Instr, n)
+		if n == 0 {
+			seen["empty list"] = true
+		}
+		for i := range is {
+			switch k := rng.IntN(6); {
+			case k == 0 && loops < 3:
+				count := rng.IntN(5)
+				seen[fmt.Sprintf("loop count %d", count)] = true
+				seen[fmt.Sprintf("loop depth %d", loops+1)] = true
+				is[i] = beo.Loop{Count: count, Body: gen(loops+1, periodics)}
+			case k == 1 && periodics < 2:
+				period, offset := 1+rng.IntN(4), rng.IntN(12)-4
+				seen[fmt.Sprintf("periodic in loop depth %d", loops)] = true
+				seen["offset < 0"] = seen["offset < 0"] || offset < 0
+				seen["offset >= period"] = seen["offset >= period"] || offset >= period
+				is[i] = beo.Periodic{Period: period, Offset: offset, Body: gen(loops, periodics+1)}
+			case k == 2:
+				p := patterns[rng.IntN(len(patterns))]
+				seen["comm "+p.String()] = true
+				seen["comm outside loops"] = seen["comm outside loops"] || loops == 0
+				is[i] = beo.Comm{Pattern: p, Bytes: int64(rng.IntN(1 << 16)), Neighbors: 1 + rng.IntN(6)}
+			case k == 3:
+				level := fti.Level(1 + rng.IntN(4))
+				seen[fmt.Sprintf("ckpt level %d", level)] = true
+				is[i] = beo.Ckpt{Op: fmt.Sprintf("k%d", level), Level: level,
+					Params: perfmodel.Params{"i": float64(rng.IntN(100))}}
+			default:
+				seen["comp outside loops"] = seen["comp outside loops"] || loops == 0
+				is[i] = beo.Comp{Op: fmt.Sprintf("c%d", rng.IntN(2)),
+					Params: perfmodel.Params{"i": float64(rng.IntN(100))}}
+			}
+		}
+		return is
 	}
+	apps := make([]*beo.AppBEO, n)
+	for i := range apps {
+		apps[i] = &beo.AppBEO{Name: fmt.Sprintf("random-%d", i), Ranks: 8, Program: gen(0, 0)}
+	}
+	return apps, seen
+}
+
+// randomArch binds constant models with whole-nanosecond costs to every
+// op randomApps uses.
+func randomArch() *beo.ArchBEO {
+	arch := beo.NewArchBEO(machine.Quartz(), 2)
+	for op, s := range map[string]float64{
+		"c0": 0.003, "c1": 0.0017, "k1": 0.05, "k2": 0.07, "k3": 0.11, "k4": 0.13,
+	} {
+		arch.Bind(op, perfmodel.Constant{Label: op, Seconds: s})
+	}
+	return arch
+}
+
+// TestWalkerMatchesUnroll holds the walker to the unrolled program: on
+// LULESH and on random programs it must yield the same dynamic
+// instruction sequence — kind, op, the very params map, level and comm
+// shape — and Compile's step and checkpoint counts must match it.
+func TestWalkerMatchesUnroll(t *testing.T) {
+	apps, seen := randomApps(1, 300)
+	for _, f := range []string{
+		"empty list", "loop count 0", "loop count 1", "loop depth 3",
+		"periodic in loop depth 0", "periodic in loop depth 1", "periodic in loop depth 2", "periodic in loop depth 3",
+		"offset < 0", "offset >= period", "comm outside loops", "comp outside loops",
+		"ckpt level 1", "ckpt level 2", "ckpt level 3", "ckpt level 4",
+		"comm barrier", "comm allreduce", "comm broadcast", "comm gather", "comm alltoall", "comm halo",
+	} {
+		if !seen[f] {
+			t.Fatalf("random programs never exercise %q", f)
+		}
+	}
+	apps = append(apps, lulesh.App(10, 64, 200, lulesh.ScenarioL1L2, cfg))
+	arch := randomArch()
+	arch.Bind(lulesh.OpTimestep, perfmodel.Constant{Seconds: 0.01})
+	arch.Bind(lulesh.OpCkptL1, perfmodel.Constant{Seconds: 0.1})
+	arch.Bind(lulesh.OpCkptL2, perfmodel.Constant{Seconds: 0.15})
+	mapID := func(p perfmodel.Params) uintptr { return reflect.ValueOf(p).Pointer() }
+	for _, app := range apps {
+		cr := Compile(app, arch)
+		want := unroll(app)
+		steps, ckpts, i := 0, 0, 0
+		w := cr.walker(nil)
+		for c := w.next(); c != nil; c = w.next() {
+			if i == len(want) {
+				t.Fatalf("%s: walker runs past the %d unrolled instructions", app.Name, len(want))
+			}
+			r := &want[i]
+			if c.kind != r.kind || c.op != r.op || mapID(c.params) != mapID(r.params) || c.level != r.level ||
+				c.pattern != r.pattern || c.bytes != r.bytes || c.neighbors != r.neighbors {
+				t.Fatalf("%s: dynamic instruction %d is %+v, unrolled %+v", app.Name, i, *c, *r)
+			}
+			switch c.kind {
+			case ckLoop:
+				steps++
+			case ckCkpt:
+				ckpts++
+			}
+			i++
+		}
+		if i != len(want) {
+			t.Fatalf("%s: walker yields %d instructions, unrolled %d", app.Name, i, len(want))
+		}
+		if cr.steps != steps || cr.ckpts != ckpts {
+			t.Fatalf("%s: Compile counts %d steps %d ckpts, the walk %d and %d",
+				app.Name, cr.steps, cr.ckpts, steps, ckpts)
+		}
+	}
+}
+
+// TestCompileBytesIndependentOfSteps pins that compiling costs the
+// program text, not its timesteps: one Compile of the 64-rank L1&L2
+// LULESH app allocates the same bytes at 4,000 steps as at 100.
+func TestCompileBytesIndependentOfSteps(t *testing.T) {
+	arch := constArch(0.01, 0.1, 0.15)
+	compileBytes := func(steps int) uint64 {
+		app := lulesh.App(10, 64, steps, lulesh.ScenarioL1L2, cfg)
+		Compile(app, arch) // warm any lazy state
+		best := uint64(math.MaxUint64)
+		for i := 0; i < 5; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			Compile(app, arch)
+			runtime.ReadMemStats(&after)
+			best = min(best, after.TotalAlloc-before.TotalAlloc)
+		}
+		return best
+	}
+	if b100, b4000 := compileBytes(100), compileBytes(4000); b100 != b4000 {
+		t.Fatalf("Compile allocates %d B at 100 steps, %d B at 4000", b100, b4000)
+	}
+}
+
+// TestPeriodicPeriodCheckedAtCompile pins that a non-positive Periodic
+// period is rejected when compiling, even where no run would reach it.
+func TestPeriodicPeriodCheckedAtCompile(t *testing.T) {
+	app := &beo.AppBEO{Name: "bad", Ranks: 8, Program: []beo.Instr{
+		beo.Loop{Count: 0, Body: []beo.Instr{beo.Periodic{Period: 0}}},
+	}}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected a panic")
+		}
+	}()
+	Compile(app, randomArch())
 }
 
 func TestDESExactMakespanConstModels(t *testing.T) {
@@ -73,24 +254,39 @@ func TestDESExactMakespanConstModels(t *testing.T) {
 	}
 }
 
+// TestDirectMatchesDESDeterministic runs both modes on LULESH and on
+// the first six random programs of at least 20 dynamic instructions.
+// The random ones use whole-nanosecond constant costs and a free
+// network, so DES's integer-nanosecond clock cannot round.
 func TestDirectMatchesDESDeterministic(t *testing.T) {
-	app := lulesh.App(15, 64, 80, lulesh.ScenarioL1L2, cfg)
-	arch := constArch(0.01, 0.1, 0.15)
-	des := Run(app, arch, WithMode(DES))
-	dir := Run(app, arch, WithMode(Direct))
-	if math.Abs(des.Makespan-dir.Makespan) > 1e-9*des.Makespan {
-		t.Fatalf("DES %v != Direct %v", des.Makespan, dir.Makespan)
+	type tc struct {
+		app  *beo.AppBEO
+		arch *beo.ArchBEO
 	}
-	if len(des.StepCompletions) != len(dir.StepCompletions) {
-		t.Fatal("step series length mismatch")
-	}
-	for i := range des.StepCompletions {
-		if math.Abs(des.StepCompletions[i]-dir.StepCompletions[i]) > 1e-9 {
-			t.Fatalf("step %d: %v vs %v", i, des.StepCompletions[i], dir.StepCompletions[i])
+	cases := []tc{{lulesh.App(15, 64, 80, lulesh.ScenarioL1L2, cfg), constArch(0.01, 0.1, 0.15)}}
+	apps, _ := randomApps(2, 100)
+	for _, app := range apps {
+		if len(cases) < 7 && len(unroll(app)) >= 20 {
+			cases = append(cases, tc{app, commFree(randomArch())})
 		}
 	}
-	if len(des.CkptTimes) != len(dir.CkptTimes) {
-		t.Fatal("checkpoint marker mismatch")
+	for _, c := range cases {
+		des := Run(c.app, c.arch, WithMode(DES))
+		dir := Run(c.app, c.arch, WithMode(Direct))
+		if math.Abs(des.Makespan-dir.Makespan) > 1e-9*des.Makespan {
+			t.Fatalf("%s: DES %v != Direct %v", c.app.Name, des.Makespan, dir.Makespan)
+		}
+		if len(des.StepCompletions) != len(dir.StepCompletions) {
+			t.Fatalf("%s: step series length mismatch", c.app.Name)
+		}
+		for i := range des.StepCompletions {
+			if math.Abs(des.StepCompletions[i]-dir.StepCompletions[i]) > 1e-9 {
+				t.Fatalf("%s: step %d: %v vs %v", c.app.Name, i, des.StepCompletions[i], dir.StepCompletions[i])
+			}
+		}
+		if len(des.CkptTimes) != len(dir.CkptTimes) {
+			t.Fatalf("%s: checkpoint marker mismatch", c.app.Name)
+		}
 	}
 }
 
@@ -220,12 +416,11 @@ func TestMonteCarloPanicsOnBadN(t *testing.T) {
 func TestCommCostPatterns(t *testing.T) {
 	net := machine.Quartz().Network()
 	for _, p := range []beo.CommPattern{beo.Barrier, beo.Allreduce, beo.Broadcast, beo.Gather, beo.AllToAll} {
-		c := cinstr{kind: ckComm, pattern: p, bytes: 1 << 16}
-		if got := commCost(net, c, 64); got <= 0 {
+		if got := commCost(net, beo.Comm{Pattern: p, Bytes: 1 << 16}, 64); got <= 0 {
 			t.Fatalf("pattern %v cost %v", p, got)
 		}
 	}
-	halo := cinstr{kind: ckComm, pattern: beo.Halo, bytes: 1 << 16, neighbors: 6}
+	halo := beo.Comm{Pattern: beo.Halo, Bytes: 1 << 16, Neighbors: 6}
 	if commCost(net, halo, 64) <= 0 {
 		t.Fatal("halo cost should be positive")
 	}
@@ -240,8 +435,8 @@ func compiledOps(t *testing.T, m perfmodel.Model) (comp, ckpt *cinstr) {
 	arch.Bind(lulesh.OpTimestep, m)
 	arch.Bind(lulesh.OpCkptL1, m)
 	cr := Compile(lulesh.App(10, 8, 50, lulesh.ScenarioL1, cfg), arch)
-	for i := range cr.prog {
-		c := &cr.prog[i]
+	w := cr.walker(nil)
+	for c := w.next(); c != nil; c = w.next() {
 		switch {
 		case c.kind == ckComp && comp == nil:
 			comp = c

@@ -14,13 +14,12 @@ import (
 // cost and releases everyone.
 
 // Payload kinds on des.Payload.Kind. The protocol encodes entirely into
-// the typed fields — pkArrive carries (syncID, rank) in (A, B) and
-// pkRelease carries syncID in A — so the steady-state event path never
-// boxes a payload.
+// the typed fields — pkArrive carries the rank in B — so the
+// steady-state event path never boxes a payload.
 const (
 	pkAdvance int32 = iota + 1 // resume a rank's program (self event or release)
-	pkArrive                   // rank -> coordinator: A = syncID, B = rank
-	pkRelease                  // coordinator -> rank: A = syncID
+	pkArrive                   // rank -> coordinator: B = rank
+	pkRelease                  // coordinator -> rank
 )
 
 // rankComp executes the compiled program for one rank.
@@ -28,25 +27,24 @@ type rankComp struct {
 	sim     *desSim
 	rank    int
 	toCoord des.LinkID // rank -> coordinator
-	pc      int
+	w       walker     // frames in desSim's slab
 	rng     *stats.RNG
-	// breakdown accounting (rank 0 only): the sync instruction rank 0
-	// is currently blocked on, and when it arrived there.
-	waitKind  ckind
+	// sync is the Comm/Ckpt instruction the rank last arrived at, and
+	// waitSince when (breakdown accounting, rank 0 only); the
+	// coordinator reads sync from the last arriving rank.
+	sync      *cinstr
 	waitSince des.Time
-	waiting   bool
 }
 
-// coordComp synchronizes collective instructions. pending is indexed
-// directly by syncID (compile assigns them contiguously); each slot is
-// zeroed again when its collective completes, so the slice needs no
-// per-trial clearing — a finished run leaves it all-zero. The seed
-// engine also kept a latest-arrival map, but events arrive in time
-// order so the coordinator's clock already is that maximum; the map
-// was dead state and is gone.
+// coordComp synchronizes collective instructions. Events arrive in
+// time order, so its clock is the latest arrival.
 type coordComp struct {
-	sim     *desSim
-	pending []int32      // syncID -> arrivals so far
+	sim *desSim
+	// arrived counts the ranks at the open sync. Every Comm and Ckpt is
+	// a global barrier, so at most one sync is open at a time and one
+	// counter serves them all; a neighbour-only halo would break this.
+	// It re-zeroes as each sync completes, ready for the next trial.
+	arrived int
 	release []des.LinkID // rank -> coordinator-to-rank link handle
 	rng     *stats.RNG
 }
@@ -78,13 +76,15 @@ func newDesSim(cr *CompiledRun) *desSim {
 	}
 	s.coordC = &coordComp{
 		sim:     s,
-		pending: make([]int32, len(cr.syncIdx)),
 		release: make([]des.LinkID, 0, cr.app.Ranks),
 		rng:     new(stats.RNG),
 	}
 	s.coord = s.eng.Register(s.coordC)
+	// One slab holds every rank's walker frames, cr.depth each.
+	frames, d := make([]frame, cr.app.Ranks*cr.depth), cr.depth
 	for r := 0; r < cr.app.Ranks; r++ {
 		rc := &rankComp{sim: s, rank: r, rng: new(stats.RNG)}
+		rc.w.stack = frames[r*d : r*d : (r+1)*d]
 		id := s.eng.Register(rc)
 		s.ranks = append(s.ranks, id)
 		s.rankC = append(s.rankC, rc)
@@ -97,8 +97,9 @@ func newDesSim(cr *CompiledRun) *desSim {
 // reset rewinds the simulation for one trial: the engine goes back to
 // time zero keeping its queue capacity, every RNG is reseeded in place
 // to the exact stream a fresh build would draw (coordinator first, then
-// ranks in order — the seed engine's Split order), and per-rank state
-// is zeroed. The result object is fresh per trial since callers keep it.
+// ranks in order — the seed engine's Split order), and every rank
+// restarts its walk. The result object is fresh per trial since callers
+// keep it.
 func (s *desSim) reset(cfg RunConfig, stream int) {
 	s.cfg = cfg
 	var master stats.RNG
@@ -106,10 +107,7 @@ func (s *desSim) reset(cfg RunConfig, stream int) {
 	master.SplitTo(s.coordC.rng)
 	for _, rc := range s.rankC {
 		master.SplitTo(rc.rng)
-		rc.pc = 0
-		rc.waiting = false
-		rc.waitKind = 0
-		rc.waitSince = 0
+		rc.w = s.cr.walker(rc.w.stack)
 	}
 	for i := range s.ends {
 		s.ends[i] = 0
@@ -149,7 +147,7 @@ func simulateDES(cr *CompiledRun, cfg RunConfig, stream int) *Result {
 	res.Makespan = max.Seconds()
 	res.Events = s.eng.Processed()
 	// Only a run that completed normally goes back to the pool: a panic
-	// mid-run would leave dirty coordinator slots and queued events.
+	// mid-run would leave a dirty arrival count and queued events.
 	s.res = nil
 	cr.desPool.Put(s)
 	return res
@@ -159,24 +157,20 @@ func simulateDES(cr *CompiledRun, cfg RunConfig, stream int) *Result {
 // collective or schedules compute time.
 func (rc *rankComp) HandleEvent(ctx *des.Context, ev des.Event) {
 	s := rc.sim
-	prog := s.cr.prog
-	if rc.rank == 0 && rc.waiting {
+	if rc.rank == 0 && ev.Payload.Kind == pkRelease {
 		// A release just arrived: charge the blocked interval (wait
 		// for stragglers + the collective/checkpoint cost itself) to
 		// the right bucket.
 		elapsed := (ctx.Now() - rc.waitSince).Seconds()
-		if rc.waitKind == ckCkpt {
+		if rc.sync.kind == ckCkpt {
 			s.res.Breakdown.CkptSec += elapsed
 		} else {
 			s.res.Breakdown.CommSec += elapsed
 		}
-		rc.waiting = false
 	}
-	for rc.pc < len(prog) {
-		c := &prog[rc.pc]
+	for c := rc.w.next(); c != nil; c = rc.w.next() {
 		switch c.kind {
 		case ckComp:
-			rc.pc++
 			var dt float64
 			if s.cfg.MonteCarlo {
 				dt = c.sample(rc.rng)
@@ -189,18 +183,10 @@ func (rc *rankComp) HandleEvent(ctx *des.Context, ev des.Event) {
 			ctx.ScheduleSelf(des.FromSeconds(dt), des.Payload{Kind: pkAdvance})
 			return
 		case ckComm, ckCkpt:
-			rc.pc++
-			if rc.rank == 0 {
-				rc.waiting = true
-				rc.waitKind = c.kind
-				rc.waitSince = ctx.Now()
-			}
-			ctx.Send(rc.toCoord, 0, des.Payload{
-				Kind: pkArrive, A: int64(c.syncID), B: int64(rc.rank),
-			})
+			rc.sync, rc.waitSince = c, ctx.Now()
+			ctx.Send(rc.toCoord, 0, des.Payload{Kind: pkArrive, B: int64(rc.rank)})
 			return // resume on release
-		case ckStepEnd:
-			rc.pc++
+		case ckLoop: // a step ended
 			if rc.rank == 0 {
 				s.res.StepCompletions = append(s.res.StepCompletions, ctx.Now().Seconds())
 			}
@@ -221,16 +207,16 @@ func (cc *coordComp) HandleEvent(ctx *des.Context, ev des.Event) {
 			p.Kind, ctx.Now()))
 	}
 	s := cc.sim
-	syncID := int(p.A)
-	cc.pending[syncID]++
-	if int(cc.pending[syncID]) < s.cr.app.Ranks {
+	cc.arrived++
+	if cc.arrived < s.cr.app.Ranks {
 		return
 	}
-	cc.pending[syncID] = 0 // slot reuse: all-zero again between trials
+	cc.arrived = 0
 
 	// All ranks arrived (the coordinator's clock is already at the
-	// latest arrival, since events are processed in time order).
-	c := &s.cr.prog[s.cr.syncIdx[syncID]]
+	// latest arrival, since events are processed in time order), all
+	// at the same sync instruction.
+	c := s.rankC[p.B].sync
 	var cost float64
 	switch c.kind {
 	case ckComm:
@@ -244,7 +230,7 @@ func (cc *coordComp) HandleEvent(ctx *des.Context, ev des.Event) {
 		s.res.CkptTimes = append(s.res.CkptTimes, ctx.Now().Seconds()+cost)
 	}
 	extra := des.FromSeconds(cost)
-	release := des.Payload{Kind: pkRelease, A: p.A}
+	release := des.Payload{Kind: pkRelease}
 	for _, l := range cc.release {
 		ctx.Send(l, extra, release)
 	}

@@ -73,7 +73,7 @@ func RunDist(f *DistFlags, p *Printer, raw []byte) ([]byte, error) {
 		return nil, err
 	}
 	p.Printf("dist: %d shards x %d replicas across %d workers: retries=%d workers_lost=%d\n",
-		rep.Shards, rep.Replicas, len(strings.Split(f.Workers, ",")), rep.Retries, rep.WorkersLost)
+		rep.Shards, rep.Replicas, c.Workers(), rep.Retries, rep.WorkersLost)
 	for _, d := range rep.Divergences {
 		p.Printf("dist: divergence (majority accepted): %s\n", d)
 	}

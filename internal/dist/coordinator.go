@@ -98,6 +98,9 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	return c, nil
 }
 
+// Workers returns the size of the worker fleet.
+func (c *Coordinator) Workers() int { return len(c.clients) }
+
 // nopCollector drops every event so the hot path never nil-checks.
 type nopCollector struct{}
 

@@ -1,7 +1,6 @@
 package dse
 
 import (
-	"bufio"
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
@@ -9,6 +8,8 @@ import (
 	"fmt"
 	"os"
 	"sync"
+
+	"besst/internal/jsonl"
 )
 
 // PointHash is the canonical cross-campaign identity of one design
@@ -95,15 +96,16 @@ func NewMemo(capacity int) *Memo {
 }
 
 // NewMemoJournal returns a point memo backed by an append-only JSONL
-// journal at path. Existing entries are restored first — torn or
-// garbage tail lines are skipped, the same crash-tolerant journal
-// discipline as internal/resilience — and every new entry is appended.
+// journal at path. Existing entries are restored first — garbage lines
+// are skipped and a torn tail is truncated away (jsonl), so the first
+// new entry starts a whole line — and every new entry is appended.
 func NewMemoJournal(capacity int, path string) (*Memo, error) {
 	m := NewMemo(capacity)
-	if err := m.restore(path); err != nil {
+	validLen, err := m.restore(path)
+	if err != nil {
 		return nil, err
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := jsonl.OpenAppend(path, validLen)
 	if err != nil {
 		return nil, err
 	}
@@ -113,42 +115,30 @@ func NewMemoJournal(capacity int, path string) (*Memo, error) {
 	return m, nil
 }
 
-// restore loads the journal at path into the memo, if it exists.
-// Duplicate keys keep the first-seen mean (later lines for a key can
-// only be re-appends of the same deterministic value).
-func (m *Memo) restore(path string) error {
-	f, err := os.Open(path)
+// restore loads the journal at path into the memo, if it exists, and
+// returns the length of its whole lines. Every whole line is
+// independent, so an undecodable one is skipped, not the end of the
+// journal. Duplicate keys keep the first-seen mean (later lines for a
+// key can only be re-appends of the same deterministic value).
+func (m *Memo) restore(path string) (validLen int64, err error) {
+	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
-		return nil
+		return 0, nil
 	}
 	if err != nil {
-		return err
+		return 0, err
 	}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
 	m.mu.Lock()
-	for sc.Scan() {
+	defer m.mu.Unlock()
+	validLen = jsonl.Lines(data, func(line []byte) bool {
 		var rec memoRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil || rec.Key == "" {
-			continue // torn tail or garbage line
+		if err := json.Unmarshal(line, &rec); err == nil && rec.Key != "" {
+			m.insert(rec.Key, rec.Mean)
 		}
-		if _, ok := m.entries[rec.Key]; ok {
-			continue
-		}
-		m.entries[rec.Key] = m.lru.PushFront(&memoEntry{key: rec.Key, mean: rec.Mean})
-		for len(m.entries) > m.capacity {
-			oldest := m.lru.Back()
-			m.lru.Remove(oldest)
-			delete(m.entries, oldest.Value.(*memoEntry).key)
-			m.evicted++
-		}
-	}
+		return true // a garbage line is skipped
+	})
 	m.loaded = len(m.entries)
-	m.mu.Unlock()
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return sc.Err()
+	return validLen, nil
 }
 
 // Lookup returns the memoized mean for key and refreshes its recency.
@@ -174,13 +164,7 @@ func (m *Memo) Store(key string, mean float64) {
 		m.lru.MoveToFront(el)
 		return
 	}
-	m.entries[key] = m.lru.PushFront(&memoEntry{key: key, mean: mean})
-	for len(m.entries) > m.capacity {
-		oldest := m.lru.Back()
-		m.lru.Remove(oldest)
-		delete(m.entries, oldest.Value.(*memoEntry).key)
-		m.evicted++
-	}
+	m.insert(key, mean)
 	if m.journal == nil {
 		return
 	}
@@ -193,6 +177,24 @@ func (m *Memo) Store(key string, mean float64) {
 		// the journal and keep serving from memory.
 		_ = m.journal.Close()
 		m.journal = nil
+	}
+}
+
+// insert adds key as the most recent entry unless it is present (the
+// first-seen mean wins) and evicts the least recent past capacity. The
+// caller holds m.mu.
+//
+//lint:ignore lockguard the caller-holds-mu contract is stated above; Store and restore lock first
+func (m *Memo) insert(key string, mean float64) {
+	if _, ok := m.entries[key]; ok {
+		return
+	}
+	m.entries[key] = m.lru.PushFront(&memoEntry{key: key, mean: mean})
+	for len(m.entries) > m.capacity {
+		oldest := m.lru.Back()
+		m.lru.Remove(oldest)
+		delete(m.entries, oldest.Value.(*memoEntry).key)
+		m.evicted++
 	}
 }
 

@@ -128,6 +128,53 @@ func TestMemoJournalTornTail(t *testing.T) {
 	}
 }
 
+// TestMemoJournalAppendsAfterTornTail reopens a journal that ends in a
+// torn line, stores a key and reopens it again: the key must be back.
+// Appending onto the fragment would glue the new line to it and lose
+// the key.
+func TestMemoJournalAppendsAfterTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "memo.jsonl")
+	if err := os.WriteFile(path, []byte(`{"key":"a","mean":0.1}`+"\n"+`{"key":"c","me`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMemoJournal(0, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Store("b", 0.25)
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	again, err := NewMemoJournal(0, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = again.Close() }()
+	for key, want := range map[string]float64{"a": 0.1, "b": 0.25} {
+		if v, ok := again.Lookup(key); !ok || v < want || v > want {
+			t.Fatalf("restored %s = %v, %v, want %v", key, v, ok, want)
+		}
+	}
+}
+
+// TestMemoJournalLongLine restores around a 2 MiB garbage line: the
+// line is skipped, the entries on both sides load and the memo opens.
+func TestMemoJournalLongLine(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "memo.jsonl")
+	lines := `{"key":"a","mean":0.5}` + "\n" + strings.Repeat("x", 2<<20) + "\n" + `{"key":"b","mean":0.75}` + "\n"
+	if err := os.WriteFile(path, []byte(lines), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMemoJournal(0, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = m.Close() }()
+	if st := m.Stats(); st.Entries != 2 || st.Journaled != 2 {
+		t.Fatalf("stats = %+v, want 2 entries restored around the long line", st)
+	}
+}
+
 // TestMemoJournalFirstSeenWins pins replay semantics: a key journaled
 // twice (two processes sharing a journal) restores its first value —
 // means are pure functions of the key, so any duplicate is identical

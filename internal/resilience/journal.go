@@ -24,6 +24,8 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+
+	"besst/internal/jsonl"
 )
 
 // JournalSchemaVersion is bumped whenever the journal line layout
@@ -139,7 +141,7 @@ func Create(path string, m Manifest, ckptEvery int) (*Journal, error) {
 		return nil, fmt.Errorf("resilience: install journal: %w", err)
 	}
 	syncDir(dir)
-	return openAppend(path, ckptEvery)
+	return openAppend(path, int64(len(line)), ckptEvery)
 }
 
 // Resume opens an existing journal for appending, verifying its
@@ -162,18 +164,17 @@ func Resume(path string, m Manifest, ckptEvery int) (*Journal, []Entry, error) {
 	if !got.matches(m) {
 		return nil, nil, fmt.Errorf("%w: journal %+v vs campaign %+v", ErrManifestMismatch, *got, m)
 	}
-	if err := os.Truncate(path, validLen); err != nil {
-		return nil, nil, fmt.Errorf("resilience: truncate torn tail: %w", err)
-	}
-	j, err := openAppend(path, ckptEvery)
+	j, err := openAppend(path, validLen, ckptEvery)
 	if err != nil {
 		return nil, nil, err
 	}
 	return j, entries, nil
 }
 
-func openAppend(path string, ckptEvery int) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+// openAppend opens the journal for appending after truncating it to
+// its validLen-byte valid prefix.
+func openAppend(path string, validLen int64, ckptEvery int) (*Journal, error) {
+	f, err := jsonl.OpenAppend(path, validLen)
 	if err != nil {
 		return nil, fmt.Errorf("resilience: open journal: %w", err)
 	}
@@ -232,54 +233,34 @@ func (j *Journal) Close() error {
 // entry, and the byte length of the valid prefix. A torn tail — any
 // undecodable or unterminated content after the last whole valid line,
 // the signature a SIGKILL mid-append leaves — is tolerated: parsing
-// stops there and validLen marks where appending may safely resume.
-// Only a missing or undecodable manifest line is an error.
+// stops there and validLen marks where appending may safely resume
+// (jsonl.Lines). Only a missing or undecodable manifest line is an
+// error.
 func ReadJournal(path string) (m *Manifest, entries []Entry, validLen int64, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("resilience: read journal: %w", err)
 	}
-	off := int64(0)
-	line, n := nextLine(data)
-	if n == 0 {
-		return nil, nil, 0, fmt.Errorf("%w: %s", ErrNoManifest, path)
-	}
-	var man Manifest
-	if jerr := json.Unmarshal(line, &man); jerr != nil || man.Kind != "manifest" {
-		return nil, nil, 0, fmt.Errorf("%w: %s: first line is not a manifest", ErrNoManifest, path)
-	}
-	data = data[n:]
-	off += int64(n)
-	for {
-		line, n = nextLine(data)
-		if n == 0 {
-			break // end of file, or a torn unterminated tail
+	validLen = jsonl.Lines(data, func(line []byte) bool {
+		if m == nil {
+			var man Manifest
+			if json.Unmarshal(line, &man) != nil || man.Kind != "manifest" {
+				return false
+			}
+			m = &man
+			return true
 		}
 		var e Entry
-		if jerr := json.Unmarshal(line, &e); jerr != nil {
-			break // torn or corrupt tail: stop at the last whole valid line
-		}
-		if e.Kind != EntryTrial && e.Kind != EntryFailed {
-			break
+		if json.Unmarshal(line, &e) != nil || (e.Kind != EntryTrial && e.Kind != EntryFailed) {
+			return false // torn or corrupt tail: stop at the last whole valid line
 		}
 		entries = append(entries, e)
-		data = data[n:]
-		off += int64(n)
+		return true
+	})
+	if m == nil {
+		return nil, nil, 0, fmt.Errorf("%w: %s: no whole manifest line first", ErrNoManifest, path)
 	}
-	return &man, entries, off, nil
-}
-
-// nextLine returns the first newline-terminated line of data (without
-// the terminator) and the number of bytes it consumed including the
-// terminator. An unterminated trailing fragment returns n == 0: it is
-// not a whole line and must not be parsed.
-func nextLine(data []byte) (line []byte, n int) {
-	for i, b := range data {
-		if b == '\n' {
-			return data[:i], i + 1
-		}
-	}
-	return nil, 0
+	return m, entries, validLen, nil
 }
 
 // syncDir best-effort fsyncs a directory so a freshly renamed journal
