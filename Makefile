@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build test vet fmt lint lint-self lint-fixtures lint-fixtures-verify race perfbench-test exp-verify bench-compare profile trace-fixtures chaos fuzz serve-smoke
+.PHONY: check build test vet fmt lint lint-self lint-fixtures lint-fixtures-verify race perfbench-test exp-verify bench-compare profile trace-fixtures chaos fuzz
 
 # check is the tier-1 gate: formatting, static analysis (vet and
 # besst-lint, including the analyzer linting itself and its golden
@@ -8,13 +8,15 @@ GO ?= go
 # race-enabled internal test suite (the parallel tiers are only trusted
 # under -race; it holds the distributed byte-identity gate, which
 # builds besst-worker and runs the quickstart campaign over real worker
-# processes, one chaos-killed mid-shard), the perfbench module's
-# result-digest and generator tests, the full paper-experiment output
-# against its archive, the observability fixtures, the
-# campaign-resilience chaos/crash suite, the simulation-service smoke
-# gate (quickstart golden and memo-warm surrogate search), and the
+# processes, one chaos-killed mid-shard, and the service checks over
+# real HTTP: TestClientRoundTrip diffs the quickstart against its
+# golden and requires a compile-cache hit on the re-post,
+# TestSearchCampaign requires memo hits on the warm surrogate search),
+# the perfbench module's result-digest and generator tests, the full
+# paper-experiment output against its archive, the observability
+# fixtures, the campaign-resilience chaos/crash suite, and the
 # benchmark-ledger regression gate.
-check: fmt vet lint lint-self lint-fixtures-verify build race perfbench-test exp-verify trace-fixtures chaos serve-smoke bench-compare
+check: fmt vet lint lint-self lint-fixtures-verify build race perfbench-test exp-verify trace-fixtures chaos bench-compare
 
 build:
 	$(GO) build ./...
@@ -95,20 +97,10 @@ trace-fixtures:
 chaos:
 	$(GO) test -race ./internal/resilience -run 'Chaos|KillAndResume|Resume|Retries|Watchdog' -v
 
-# serve-smoke boots the besst-serve daemon in-process once per smoke
-# case and runs the case's campaign twice over real HTTP. Every case
-# must give byte-identical cold/warm result bodies. The README
-# quickstart must also hit the compile cache on the second request
-# (visible in /v1/statz) and match the committed golden result
-# document exactly; the pinned surrogate search must hit the point
-# memo on its warm run and simulate less than its whole grid.
-# Regenerate the golden with:
-#   go run ./cmd/besst-serve -smoke -golden results/GOLDEN_serve_smoke.json -update-golden
-serve-smoke: build
-	$(GO) run ./cmd/besst-serve -smoke -golden results/GOLDEN_serve_smoke.json
-
 # fuzz runs the short corruption fuzzers: the checkpoint-journal reader
-# (torn tails, garbage lines), the AppBEO JSON decoder, the
+# (torn tails, garbage lines), the design-point memo journal (every
+# whole decodable line restored, a fresh key survives close and
+# reopen), the AppBEO JSON decoder, the
 # symbolic-regression model decoder (accepted models must Predict), the
 # serve request canonicalizer (canonical forms are fixed points and
 # hash to the input's campaign ID), the serve request planner (every
@@ -121,6 +113,7 @@ serve-smoke: build
 # against the row-wise Node.Eval reference).
 fuzz:
 	$(GO) test ./internal/resilience -run xxx -fuzz FuzzReadJournal -fuzztime 20s
+	$(GO) test ./internal/dse -run xxx -fuzz FuzzMemoJournal -fuzztime 20s
 	$(GO) test ./internal/beo -run xxx -fuzz FuzzAppBEOJSON -fuzztime 20s
 	$(GO) test ./internal/symreg -run xxx -fuzz FuzzFittedJSON -fuzztime 20s
 	$(GO) test ./internal/serve -run xxx -fuzz FuzzCanonicalJSON -fuzztime 20s

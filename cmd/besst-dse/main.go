@@ -78,7 +78,8 @@ func main() {
 	modelSpec := serve.ModelSpec{Method: "symreg", Samples: *samples, Seed: common.Seed}
 
 	// -dist: run the overhead sweep as a dse_sweep campaign on a
-	// besst-worker fleet and print the merged result document. The
+	// besst-worker fleet and print the merged result document,
+	// byte-identical to besst-serve's result for the same request. The
 	// pruning report needs the local benchmark campaign, so it is
 	// skipped — run without -dist for it.
 	if distFlags.Enabled() {

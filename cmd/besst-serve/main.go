@@ -3,7 +3,6 @@
 // the same compile/run pipeline the CLIs use.
 //
 //	besst-serve -addr 127.0.0.1:8321 -state results/serve
-//	besst-serve -smoke -golden results/GOLDEN_serve_smoke.json
 //
 // Endpoints (see internal/serve and DESIGN.md):
 //
@@ -23,7 +22,6 @@ import (
 	"besst/internal/dist"
 	"besst/internal/dse"
 	"besst/internal/serve"
-	"besst/internal/serveclient"
 )
 
 func main() {
@@ -41,17 +39,7 @@ func main() {
 	distReplicas := flag.Int("dist-replicas", 1, "functional-replication degree for -workers-addr")
 	memoCap := flag.Int("memo-cap", 0, "cross-campaign design-point memo capacity (0: default)")
 	memoJournal := flag.String("memo-journal", "", "append-only point-memo journal file; replayed on boot so the memo survives restarts")
-	smoke := flag.Bool("smoke", false, "run the self-contained service smoke checks (quickstart and surrogate search) and exit")
-	golden := flag.String("golden", "", "golden result document for -smoke")
-	update := flag.Bool("update-golden", false, "rewrite the -smoke golden instead of diffing")
 	flag.Parse()
-
-	if *smoke {
-		if err := serveclient.Smoke(os.Stdout, serveclient.SmokeConfig{Golden: *golden, Update: *update}); err != nil {
-			fatalf("%v", err)
-		}
-		return
-	}
 
 	var memo *dse.Memo
 	if *memoJournal != "" {

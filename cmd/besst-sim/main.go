@@ -97,8 +97,8 @@ func main() {
 
 	// -dist: ship the configuration as a self-contained campaign
 	// request to a besst-worker fleet and print the merged result
-	// document — byte-identical to what a local run (or besst-serve)
-	// produces for the same request.
+	// document — byte-identical to besst-serve's result for the same
+	// request.
 	if distFlags.Enabled() {
 		if *campaignCSV != "" || *modelsPath != "" || *appPath != "" {
 			fatalf("-dist builds a self-contained campaign request; -campaign, -models, and -app cannot combine with it")

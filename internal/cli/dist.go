@@ -12,7 +12,7 @@ import (
 // besst-sim and besst-dse: -dist points at a besst-worker fleet and
 // the campaign runs across it — sharded, replicated, worker-loss
 // tolerant — instead of in-process. The merged result document is
-// byte-identical to the local run of the same configuration.
+// byte-identical to besst-serve's result for the same campaign request.
 type DistFlags struct {
 	// Workers is the comma-separated worker base URL list; empty keeps
 	// execution in-process.

@@ -1,7 +1,10 @@
 package dse
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -212,4 +215,63 @@ func TestMemoStatsCounters(t *testing.T) {
 	if st.Hits != 1 || st.Misses != 1 || st.Entries != 1 || st.Capacity != 8 {
 		t.Fatalf("stats = %+v", st)
 	}
+}
+
+// FuzzMemoJournal opens a memo over arbitrary existing journal bytes.
+// With room for every line, opening must succeed and restore each key
+// on a whole, decodable line with its first-seen mean; after storing a
+// fresh key, closing and reopening, that key and all the earlier ones
+// must be back. A torn tail or a garbage line in the way of the append
+// would lose the fresh key.
+func FuzzMemoJournal(f *testing.F) {
+	f.Add([]byte(`{"key":"a","mean":0.1}` + "\n" + `{"key":"c","me`))
+	f.Add([]byte(`{"key":"a","mean":0.5}` + "\nnot json\n" + `{"key":"b","mean":0.75}` + "\n"))
+	f.Add([]byte(`{"key":"a","mean":0.5}` + "\n" + strings.Repeat("x", 70<<10) + "\n" + `{"key":"b","mean":2}` + "\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "memo.jsonl")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		capacity := bytes.Count(data, []byte("\n")) + 2
+		want := map[string]float64{}
+		lines := bytes.Split(data, []byte("\n"))
+		for _, line := range lines[:len(lines)-1] { // the last piece is unterminated
+			var rec memoRecord
+			if json.Unmarshal(line, &rec) != nil || rec.Key == "" {
+				continue
+			}
+			if _, seen := want[rec.Key]; !seen {
+				want[rec.Key] = rec.Mean
+			}
+		}
+		fresh := "fresh"
+		for _, taken := want[fresh]; taken; _, taken = want[fresh] {
+			fresh += "'"
+		}
+
+		m, err := NewMemoJournal(capacity, path)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		check := func(m *Memo, stage string) {
+			t.Helper()
+			for key, mean := range want {
+				if got, ok := m.Lookup(key); !ok || math.Float64bits(got) != math.Float64bits(mean) {
+					t.Fatalf("%s: key %q = %v, %v, want %v", stage, key, got, ok, mean)
+				}
+			}
+		}
+		check(m, "open")
+		m.Store(fresh, 0.5)
+		want[fresh] = 0.5
+		if err := m.Close(); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+		again, err := NewMemoJournal(capacity, path)
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		defer func() { _ = again.Close() }()
+		check(again, "reopen")
+	})
 }

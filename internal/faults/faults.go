@@ -224,6 +224,35 @@ func Run(spec JobSpec, fm FaultModel, cfg fti.Config, rng *stats.RNG) RunStats {
 		}
 	}
 
+	// fail handles a failure that landed at wall: it draws the failed
+	// node set, picks the cheapest level able to recover it, draws the
+	// next failure, then restores the last checkpoint (or restarts from
+	// scratch) and charges the lost steps as rework. The RNG draw order
+	// (failure set, then next failure) is part of the result bytes.
+	fail := func() {
+		st.Faults++
+		failures := fm.drawFailures(rng)
+		level := cfg.BestRecoveryLevel(enabled, failures)
+		var lost int
+		nextFail = wall + fm.nextFailure(rng)
+		if level != 0 && lastCkptStep >= 0 {
+			st.Recovered++
+			recover(spec.RestartSec(level))
+			lost = step - (lastCkptStep + 1)
+			step = lastCkptStep + 1
+		} else {
+			st.Scratch++
+			recover(spec.ScratchRestartSec)
+			lost = step
+			step = 0
+			lastCkptStep = -1
+		}
+		if lost < 0 {
+			lost = 0
+		}
+		st.ReworkSec += float64(lost) * spec.StepSec
+	}
+
 	for step < spec.Steps {
 		if spec.MaxWallSec > 0 && wall >= spec.MaxWallSec {
 			st.Truncated = true
@@ -232,27 +261,7 @@ func Run(spec JobSpec, fm FaultModel, cfg fti.Config, rng *stats.RNG) RunStats {
 		}
 		// One timestep of forward progress.
 		if !advance(spec.StepSec) {
-			st.Faults++
-			failures := fm.drawFailures(rng)
-			level := cfg.BestRecoveryLevel(enabled, failures)
-			var lost int
-			nextFail = wall + fm.nextFailure(rng)
-			if level != 0 && lastCkptStep >= 0 {
-				st.Recovered++
-				recover(spec.RestartSec(level))
-				lost = step - (lastCkptStep + 1)
-				step = lastCkptStep + 1
-			} else {
-				st.Scratch++
-				recover(spec.ScratchRestartSec)
-				lost = step
-				step = 0
-				lastCkptStep = -1
-			}
-			if lost < 0 {
-				lost = 0
-			}
-			st.ReworkSec += float64(lost) * spec.StepSec
+			fail()
 			continue
 		}
 		step++
@@ -270,27 +279,7 @@ func Run(spec JobSpec, fm FaultModel, cfg fti.Config, rng *stats.RNG) RunStats {
 				lastCkptStep = step - 1
 				continue
 			}
-			st.Faults++
-			failures := fm.drawFailures(rng)
-			level := cfg.BestRecoveryLevel(enabled, failures)
-			var lost int
-			nextFail = wall + fm.nextFailure(rng)
-			if level != 0 && lastCkptStep >= 0 {
-				st.Recovered++
-				recover(spec.RestartSec(level))
-				lost = step - (lastCkptStep + 1)
-				step = lastCkptStep + 1
-			} else {
-				st.Scratch++
-				recover(spec.ScratchRestartSec)
-				lost = step
-				step = 0
-				lastCkptStep = -1
-			}
-			if lost < 0 {
-				lost = 0
-			}
-			st.ReworkSec += float64(lost) * spec.StepSec
+			fail()
 			break // re-enter main loop from the restored step
 		}
 	}

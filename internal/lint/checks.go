@@ -344,21 +344,20 @@ func isIdentOrFieldChain(e ast.Expr) bool {
 // scheduler, campaign runners, and signal handling are daemon plumbing
 // outside any single trial), the distributed coordinator/worker layer
 // (replica fan-out, heartbeats, worker signal handling), and the
-// service client (whose smoke harness hosts an in-process server),
-// and the design-space explorer (whose cross-campaign point memo is a
+// design-space explorer (whose cross-campaign point memo is a
 // mutex-guarded LRU shared between concurrent campaigns). Everything
 // else must go through par.ForEach so draining, panic propagation, and
 // the determinism contract stay in one place.
 var concurrencyScope = []string{
 	"internal/par", "internal/obs", "internal/resilience", "internal/serve",
-	"internal/dist", "internal/serveclient", "internal/dse",
+	"internal/dist", "internal/dse",
 }
 
 type goroutinedisciplineCheck struct{}
 
 func (*goroutinedisciplineCheck) Name() string { return "goroutinediscipline" }
 func (*goroutinedisciplineCheck) Doc() string {
-	return "go statements and sync.WaitGroup are confined to internal/par, internal/obs, internal/resilience, internal/serve, internal/dist, internal/serveclient, and internal/dse"
+	return "go statements and sync.WaitGroup are confined to internal/par, internal/obs, internal/resilience, internal/serve, internal/dist, and internal/dse"
 }
 
 func (c *goroutinedisciplineCheck) Run(pkg *Package, report ReportFunc) {
@@ -369,11 +368,11 @@ func (c *goroutinedisciplineCheck) Run(pkg *Package, report ReportFunc) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch s := n.(type) {
 			case *ast.GoStmt:
-				report(s.Pos(), "bare go statement outside the concurrency scope (internal/par, internal/obs, internal/resilience, internal/serve, internal/dist, internal/serveclient, internal/dse); use par.ForEach so pool draining and panic propagation stay centralized")
+				report(s.Pos(), "bare go statement outside the concurrency scope (internal/par, internal/obs, internal/resilience, internal/serve, internal/dist, internal/dse); use par.ForEach so pool draining and panic propagation stay centralized")
 			case *ast.Ident:
 				if tn, ok := pkg.Info.Uses[s].(*types.TypeName); ok &&
 					tn.Pkg() != nil && tn.Pkg().Path() == "sync" && tn.Name() == "WaitGroup" {
-					report(s.Pos(), "sync.WaitGroup outside the concurrency scope (internal/par, internal/obs, internal/resilience, internal/serve, internal/dist, internal/serveclient, internal/dse); use par.ForEach instead of hand-rolled fan-out")
+					report(s.Pos(), "sync.WaitGroup outside the concurrency scope (internal/par, internal/obs, internal/resilience, internal/serve, internal/dist, internal/dse); use par.ForEach instead of hand-rolled fan-out")
 				}
 			}
 			return true

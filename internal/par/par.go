@@ -172,41 +172,15 @@ func ForEachIsolated(workers, n int, fn func(i int) error) []error {
 		return nil
 	}
 	errs := make([]error, n)
-	call := func(i int) {
+	// The wrapper recovers every panic, so none reaches ForEach and its
+	// stop-on-panic path never fires.
+	ForEach(workers, n, func(i int) {
 		defer func() {
 			if r := recover(); r != nil {
 				errs[i] = &PanicError{Index: i, Value: r, Stack: debug.Stack()}
 			}
 		}()
 		errs[i] = fn(i)
-	}
-	w := Workers(workers)
-	if w > n {
-		w = n
-	}
-	if w == 1 {
-		for i := 0; i < n; i++ {
-			call(i)
-		}
-		return errs
-	}
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-	)
-	for g := 0; g < w; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				call(i)
-			}
-		}()
-	}
-	wg.Wait()
+	})
 	return errs
 }

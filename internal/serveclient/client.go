@@ -264,3 +264,41 @@ func (c *Client) Healthz(ctx context.Context) (serve.Healthz, error) {
 	err := c.doJSON(ctx, http.MethodGet, "/v1/healthz", nil, &h)
 	return h, err
 }
+
+// QuickstartRequest is the README quickstart campaign: a small
+// direct-mode Monte Carlo run whose result document is committed as
+// results/GOLDEN_serve_smoke.json. Everything is pinned (seed included)
+// so the bytes are stable. TestClientRoundTrip checks (and with
+// -update rewrites) the golden over real HTTP; the distributed
+// byte-identity tests in internal/dist diff the sharded merge against
+// the same golden.
+const QuickstartRequest = `{
+  "schema_version": 1,
+  "kind": "monte_carlo",
+  "tenant": "smoke",
+  "trials": 5,
+  "run": {"schema_version": 1, "mode": "direct", "monte_carlo": true, "per_rank_noise": true, "seed": 7},
+  "app": {"epr": 5, "ranks": 8, "steps": 20, "scenario": "l1", "period": 10},
+  "model": {"method": "interp", "samples": 2, "seed": 1}
+}`
+
+// RunCampaign submits raw request JSON, waits until the campaign
+// settles (bounded by timeout), and returns the result document bytes.
+// A settled state other than done is an error carrying the campaign's
+// own error string.
+func RunCampaign(c *Client, raw []byte, timeout time.Duration) ([]byte, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	st, err := c.SubmitRaw(ctx, raw)
+	if err != nil {
+		return nil, err
+	}
+	st, err = c.Wait(ctx, st.ID, 0)
+	if err != nil {
+		return nil, err
+	}
+	if st.State != serve.StateDone {
+		return nil, fmt.Errorf("campaign %s is %s: %s", st.ID, st.State, st.Error)
+	}
+	return c.Result(ctx, st.ID)
+}

@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"flag"
 	"net/http"
 	"net/http/httptest"
-	"strings"
+	"os"
+	"regexp"
 	"testing"
 	"time"
 
@@ -27,13 +29,38 @@ func newClient(t *testing.T, cfg serve.Config) *Client {
 	return New(ts.URL, cfg.AuthToken)
 }
 
+// update rewrites the quickstart golden from TestClientRoundTrip's cold
+// result instead of diffing against it:
+//
+//	go test ./internal/serveclient -run TestClientRoundTrip -update
+var update = flag.Bool("update", false, "rewrite "+quickstartGolden+" from the live quickstart result")
+
+// quickstartGolden is the committed result document of QuickstartRequest.
+// internal/dist diffs its sharded merges against the same file.
+const quickstartGolden = "../../results/GOLDEN_serve_smoke.json"
+
 // TestClientRoundTrip drives submit → wait → result through the typed
-// client and checks the result matches a second run byte-for-byte.
+// client over real HTTP. The cold result must equal the committed
+// golden, the warm re-post must reproduce it byte for byte, and that
+// re-post must be served by the warm compile cache.
 func TestClientRoundTrip(t *testing.T) {
 	c := newClient(t, serve.Config{Workers: 2, CacheCap: 4})
 	first, err := RunCampaign(c, []byte(QuickstartRequest), time.Minute)
 	if err != nil {
 		t.Fatalf("first run: %v", err)
+	}
+	if *update {
+		if err := os.WriteFile(quickstartGolden, first, 0o644); err != nil {
+			t.Fatalf("update golden: %v", err)
+		}
+	}
+	golden, err := os.ReadFile(quickstartGolden)
+	if err != nil {
+		t.Fatalf("read golden (run with -update to create): %v", err)
+	}
+	if !bytes.Equal(first, golden) {
+		t.Fatalf("quickstart result diverged from %s (%d vs %d bytes); "+
+			"if the change is intentional, regenerate with -update", quickstartGolden, len(first), len(golden))
 	}
 	second, err := RunCampaign(c, []byte(QuickstartRequest), time.Minute)
 	if err != nil {
@@ -116,46 +143,6 @@ func TestClientWatch(t *testing.T) {
 	}
 }
 
-// TestSmoke runs every smoke case — the quickstart (sans golden) and
-// the surrogate search — so `go test` covers the same path
-// `make serve-smoke` gates on.
-func TestSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("smoke boots a real listener")
-	}
-	var buf bytes.Buffer
-	if err := Smoke(&buf, SmokeConfig{}); err != nil {
-		t.Fatalf("Smoke: %v\n%s", err, buf.String())
-	}
-	for _, sc := range smokeCases {
-		if !strings.Contains(buf.String(), "serve smoke "+sc.name+" OK") {
-			t.Fatalf("smoke case %s did not report OK: %s", sc.name, buf.String())
-		}
-	}
-}
-
-// TestSmokeDSE runs the surrogate-search case of the smoke table on its
-// own, so a search regression fails under its own name.
-func TestSmokeDSE(t *testing.T) {
-	if testing.Short() {
-		t.Skip("smoke boots a real listener")
-	}
-	for _, sc := range smokeCases {
-		if sc.name != "search" {
-			continue
-		}
-		var buf bytes.Buffer
-		if err := sc.run(&buf, SmokeConfig{}); err != nil {
-			t.Fatalf("search smoke: %v\n%s", err, buf.String())
-		}
-		if !strings.Contains(buf.String(), "serve smoke search OK") {
-			t.Fatalf("smoke output: %s", buf.String())
-		}
-		return
-	}
-	t.Fatal("smoke table has no search case")
-}
-
 // TestWaitBackoff scripts a status endpoint that reports running N
 // times before settling and asserts — without any real sleeping — that
 // Wait makes exactly N+1 requests and that its inter-poll delays
@@ -223,5 +210,34 @@ func TestWaitContextCancel(t *testing.T) {
 	}
 	if _, err := c.Wait(ctx, "c1", time.Millisecond); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Wait err = %v, want context.Canceled", err)
+	}
+}
+
+// readmeQuickstart matches the request body of the README's Quickstart
+// curl: the single-quoted JSON after "-d".
+var readmeQuickstart = regexp.MustCompile(`(?s)Quickstart.*?curl -s -X POST \S+ -d '([^']*)'`)
+
+// TestReadmeQuickstartIsGoldenCampaign holds the README's Quickstart
+// body to the campaign the golden pins: both must hash to one campaign
+// ID, so the documented curl reproduces the committed result document.
+func TestReadmeQuickstartIsGoldenCampaign(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := readmeQuickstart.FindSubmatch(readme)
+	if m == nil {
+		t.Fatal("README has no Quickstart curl body")
+	}
+	got, _, _, err := serve.HashRequest(m[1])
+	if err != nil {
+		t.Fatalf("README quickstart body: %v", err)
+	}
+	want, _, _, err := serve.HashRequest([]byte(QuickstartRequest))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("README quickstart is campaign %s, QuickstartRequest (the golden) is %s", got, want)
 	}
 }
