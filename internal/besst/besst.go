@@ -304,6 +304,14 @@ func (w *walker) next() *cinstr {
 // A CompiledRun is therefore safe for use from multiple goroutines,
 // provided the app, arch, and bound models are not mutated after
 // Compile.
+//
+// A DES-mode run holds the program's longest sync-free stretch (the
+// dynamic instructions from one Comm or Ckpt through the next) in
+// memory, one pointer per instruction, in every simulation it pools.
+// For LULESH and CMT-bone, whose every step syncs, that is a few
+// entries; for a program with no Comm or Ckpt it is the whole unrolled
+// program, O(Loop.Count x body), where Direct mode needs only its loop
+// nesting depth.
 type CompiledRun struct {
 	app   *beo.AppBEO
 	arch  *beo.ArchBEO

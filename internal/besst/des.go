@@ -12,13 +12,21 @@ import (
 // ranks report arrival to the coordinator; when the last rank arrives
 // the coordinator charges the communication (or checkpoint-instance)
 // cost and releases everyone.
+//
+// Every rank runs the same program, so the simulation walks it once:
+// seg holds the dynamic instructions from one sync up to and including
+// the next, and each rank keeps only its index into it. The coordinator
+// refills seg when the last rank arrives, while every rank is blocked,
+// so seg holds at most the longest sync-free stretch of the program —
+// a few entries for LULESH and CMT-bone, whose every step syncs, but
+// the whole unrolled program for one with no Comm or Ckpt (see
+// CompiledRun).
 
-// Payload kinds on des.Payload.Kind. The protocol encodes entirely into
-// the typed fields — pkArrive carries the rank in B — so the
-// steady-state event path never boxes a payload.
+// Payload kinds on des.Payload.Kind. The protocol is the kind alone,
+// so the steady-state event path never boxes a payload.
 const (
-	pkAdvance int32 = iota + 1 // resume a rank's program (self event or release)
-	pkArrive                   // rank -> coordinator: B = rank
+	pkAdvance int32 = iota + 1 // start or resume a rank's program (self event)
+	pkArrive                   // rank -> coordinator
 	pkRelease                  // coordinator -> rank
 )
 
@@ -27,12 +35,10 @@ type rankComp struct {
 	sim     *desSim
 	rank    int
 	toCoord des.LinkID // rank -> coordinator
-	w       walker     // frames in desSim's slab
+	pc      int        // the rank's next index into sim.seg
 	rng     *stats.RNG
-	// sync is the Comm/Ckpt instruction the rank last arrived at, and
-	// waitSince when (breakdown accounting, rank 0 only); the
-	// coordinator reads sync from the last arriving rank.
-	sync      *cinstr
+	// waitSince is when the rank last arrived at a sync (breakdown
+	// accounting, rank 0 only).
 	waitSince des.Time
 }
 
@@ -45,6 +51,9 @@ type coordComp struct {
 	// counter serves them all; a neighbour-only halo would break this.
 	// It re-zeroes as each sync completes, ready for the next trial.
 	arrived int
+	// done is the sync the ranks last completed, for rank 0's
+	// breakdown.
+	done    *cinstr
 	release []des.LinkID // rank -> coordinator-to-rank link handle
 	rng     *stats.RNG
 }
@@ -62,6 +71,8 @@ type desSim struct {
 	coordC *coordComp
 	rankC  []*rankComp
 	ends   []des.Time // per-rank completion time
+	w      walker     // the simulation's one walk of the program
+	seg    []*cinstr  // the walk's next sync-free stretch and its sync
 }
 
 // newDesSim builds and wires a simulation for cr. All per-trial state
@@ -80,11 +91,8 @@ func newDesSim(cr *CompiledRun) *desSim {
 		rng:     new(stats.RNG),
 	}
 	s.coord = s.eng.Register(s.coordC)
-	// One slab holds every rank's walker frames, cr.depth each.
-	frames, d := make([]frame, cr.app.Ranks*cr.depth), cr.depth
 	for r := 0; r < cr.app.Ranks; r++ {
 		rc := &rankComp{sim: s, rank: r, rng: new(stats.RNG)}
-		rc.w.stack = frames[r*d : r*d : (r+1)*d]
 		id := s.eng.Register(rc)
 		s.ranks = append(s.ranks, id)
 		s.rankC = append(s.rankC, rc)
@@ -97,9 +105,9 @@ func newDesSim(cr *CompiledRun) *desSim {
 // reset rewinds the simulation for one trial: the engine goes back to
 // time zero keeping its queue capacity, every RNG is reseeded in place
 // to the exact stream a fresh build would draw (coordinator first, then
-// ranks in order — the seed engine's Split order), and every rank
-// restarts its walk. The result object is fresh per trial since callers
-// keep it.
+// ranks in order — the seed engine's Split order), and the walk
+// restarts with every rank at the front of its first stretch. The
+// result object is fresh per trial since callers keep it.
 func (s *desSim) reset(cfg RunConfig, stream int) {
 	s.cfg = cfg
 	var master stats.RNG
@@ -107,8 +115,10 @@ func (s *desSim) reset(cfg RunConfig, stream int) {
 	master.SplitTo(s.coordC.rng)
 	for _, rc := range s.rankC {
 		master.SplitTo(rc.rng)
-		rc.w = s.cr.walker(rc.w.stack)
+		rc.pc = 0
 	}
+	s.w = s.cr.walker(s.w.stack)
+	s.fill()
 	for i := range s.ends {
 		s.ends[i] = 0
 	}
@@ -120,6 +130,18 @@ func (s *desSim) reset(cfg RunConfig, stream int) {
 	s.eng.SetTracer(cfg.Tracer, stream)
 }
 
+// fill refills seg with the walk's next dynamic instructions, through
+// the next sync or the end of the program.
+func (s *desSim) fill() {
+	s.seg = s.seg[:0]
+	for c := s.w.next(); c != nil; c = s.w.next() {
+		s.seg = append(s.seg, c)
+		if c.kind == ckComm || c.kind == ckCkpt {
+			return
+		}
+	}
+}
+
 // simulateDES runs one DES-mode replication. stream tags tracer hooks
 // so trials sharing one tracer stay distinguishable (Replicate passes
 // the trial index).
@@ -128,9 +150,18 @@ func simulateDES(cr *CompiledRun, cfg RunConfig, stream int) *Result {
 	if s == nil {
 		s = newDesSim(cr)
 	}
+	res := s.run(cfg, stream)
+	// Only a run that completed normally goes back to the pool: a panic
+	// mid-run would leave a dirty arrival count and queued events.
+	cr.desPool.Put(s)
+	return res
+}
+
+// run resets the simulation and runs one trial on it.
+func (s *desSim) run(cfg RunConfig, stream int) *Result {
 	s.reset(cfg, stream)
-	for r := 0; r < cr.app.Ranks; r++ {
-		s.eng.ScheduleAt(0, s.ranks[r], des.Payload{Kind: pkAdvance})
+	for _, id := range s.ranks {
+		s.eng.ScheduleAt(0, id, des.Payload{Kind: pkAdvance})
 	}
 	s.eng.Run(0)
 	if cfg.Collector != nil {
@@ -146,10 +177,7 @@ func simulateDES(cr *CompiledRun, cfg RunConfig, stream int) *Result {
 	res := s.res
 	res.Makespan = max.Seconds()
 	res.Events = s.eng.Processed()
-	// Only a run that completed normally goes back to the pool: a panic
-	// mid-run would leave a dirty arrival count and queued events.
 	s.res = nil
-	cr.desPool.Put(s)
 	return res
 }
 
@@ -157,18 +185,22 @@ func simulateDES(cr *CompiledRun, cfg RunConfig, stream int) *Result {
 // collective or schedules compute time.
 func (rc *rankComp) HandleEvent(ctx *des.Context, ev des.Event) {
 	s := rc.sim
-	if rc.rank == 0 && ev.Payload.Kind == pkRelease {
-		// A release just arrived: charge the blocked interval (wait
-		// for stragglers + the collective/checkpoint cost itself) to
-		// the right bucket.
-		elapsed := (ctx.Now() - rc.waitSince).Seconds()
-		if rc.sync.kind == ckCkpt {
-			s.res.Breakdown.CkptSec += elapsed
-		} else {
-			s.res.Breakdown.CommSec += elapsed
+	if ev.Payload.Kind == pkRelease {
+		rc.pc = 0 // the coordinator refilled seg
+		if rc.rank == 0 {
+			// Charge the blocked interval (wait for stragglers + the
+			// collective/checkpoint cost itself) to the right bucket.
+			elapsed := (ctx.Now() - rc.waitSince).Seconds()
+			if s.coordC.done.kind == ckCkpt {
+				s.res.Breakdown.CkptSec += elapsed
+			} else {
+				s.res.Breakdown.CommSec += elapsed
+			}
 		}
 	}
-	for c := rc.w.next(); c != nil; c = rc.w.next() {
+	for rc.pc < len(s.seg) {
+		c := s.seg[rc.pc]
+		rc.pc++
 		switch c.kind {
 		case ckComp:
 			var dt float64
@@ -183,8 +215,8 @@ func (rc *rankComp) HandleEvent(ctx *des.Context, ev des.Event) {
 			ctx.ScheduleSelf(des.FromSeconds(dt), des.Payload{Kind: pkAdvance})
 			return
 		case ckComm, ckCkpt:
-			rc.sync, rc.waitSince = c, ctx.Now()
-			ctx.Send(rc.toCoord, 0, des.Payload{Kind: pkArrive, B: int64(rc.rank)})
+			rc.waitSince = ctx.Now()
+			ctx.Send(rc.toCoord, 0, des.Payload{Kind: pkArrive})
 			return // resume on release
 		case ckLoop: // a step ended
 			if rc.rank == 0 {
@@ -215,8 +247,9 @@ func (cc *coordComp) HandleEvent(ctx *des.Context, ev des.Event) {
 
 	// All ranks arrived (the coordinator's clock is already at the
 	// latest arrival, since events are processed in time order), all
-	// at the same sync instruction.
-	c := s.rankC[p.B].sync
+	// at the sync that ends seg.
+	c := s.seg[len(s.seg)-1]
+	cc.done = c
 	var cost float64
 	switch c.kind {
 	case ckComm:
@@ -229,6 +262,7 @@ func (cc *coordComp) HandleEvent(ctx *des.Context, ev des.Event) {
 		}
 		s.res.CkptTimes = append(s.res.CkptTimes, ctx.Now().Seconds()+cost)
 	}
+	s.fill()
 	extra := des.FromSeconds(cost)
 	release := des.Payload{Kind: pkRelease}
 	for _, l := range cc.release {

@@ -6,21 +6,35 @@ package des
 //
 // A push whose Time equals that of the most recent push extends that
 // push's run; any other push starts a new tail run, and the old tail
-// (if it still holds events) moves into a 4-ary min-heap of runs keyed
-// by (time, seq). The order is exact because seqs are stamped in push
-// order: a run holds consecutive pushes, so it is already FIFO in
-// (Time, seq), and every other event at the same time has a seq outside
-// the run's range. Any one seq of a run therefore orders it against
-// every other run, and the key can stay the seq of its first event:
-// popping a run's head leaves the run where it was in the heap, so it
-// needs no sift, and only an exhausted run leaves the heap. pop and
-// peek take the smaller of the tail and the heap top.
+// (if it still holds events) joins pend, an unsorted list of the runs
+// that left the tail since pend was last emptied. The order is exact
+// because seqs are stamped in push order: a run holds consecutive
+// pushes, so it is already FIFO in (Time, seq), and every other event
+// at the same time has a seq outside the run's range. Any one seq of a
+// run therefore orders it against every other run, and the key can
+// stay the seq of its first event: popping a run's head leaves the run
+// where it was, so it needs no re-sort, and only an exhausted run
+// leaves its tier.
 //
-// That shape fits the collective traffic of a compiled BE-SST program:
-// a coordinator releases every rank at one timestamp and each release's
-// follow-on arrival lands at the same time again, so those events never
-// touch the heap — only events with distinct times (compute self
-// events) are sifted.
+// Outside the tail a run sits in one of three tiers: pend, a sorted
+// batch consumed from its front, or a 4-ary min-heap. pend's least run
+// is tracked as runs join it, so it costs nothing until that run is
+// the minimum. Then pend is emptied in one go: bucket-sorted into a new
+// batch if the last batch has drained (the top and bottom tiers of a
+// ladder queue, Tang, Goh & Thng, ACM TOMACS 2005), else pushed into
+// the heap. pop and peek take the least of the tail, the batch head
+// and the heap top, after that flush.
+//
+// That shape fits the traffic of a compiled BE-SST program. A
+// coordinator releases every rank at one timestamp, and each release's
+// follow-on arrival lands at the same time again, so those events
+// never leave the tail. The compute steps the releases start end at
+// distinct times: all but the last-scheduled one collect in pend and
+// drain as one batch, sorted in linear expected time. The last one
+// stays in the tail until the first arrival at the barrier pushes it
+// to pend, while that batch is still draining, so unless it ends the
+// burst it goes through the heap: about one heap run per barrier
+// interval.
 //
 // Runs live contiguously in one event log. A push that would grow a
 // full log first compacts it (copying the live runs to the front of a
@@ -31,7 +45,12 @@ package des
 type eventQueue struct {
 	log   []Event // run storage; the tail run always ends the log
 	spare []Event // compaction target, swapped with log
-	runs  []run   // 4-ary min-heap of every non-empty run but the tail
+	runs  []run   // 4-ary min-heap of runs
+	batch []run   // sorted runs; batch[bi:] are live
+	bi    int
+	pend  []run   // runs that left the tail, in seq order
+	pmin  int     // index of pend's least run
+	count []int32 // bucket offsets, scratch for sortPend
 	tail  run     // the run the most recent push joined
 	n     int     // pending events
 }
@@ -64,27 +83,43 @@ func runBefore(a, b *run) bool {
 //lint:hotpath
 func (q *eventQueue) len() int { return q.n }
 
-// reset empties the queue, keeping the log, spare and heap capacity for
-// reuse across trials.
+// reset empties the queue, keeping every buffer's capacity for reuse
+// across trials.
 //
 //lint:hotpath
 func (q *eventQueue) reset() {
 	q.log = q.log[:0]
 	q.runs = q.runs[:0]
+	q.batch = q.batch[:0]
+	q.bi = 0
+	q.pend = q.pend[:0]
 	q.tail = run{}
 	q.n = 0
 }
 
-// front returns the run holding the minimum event: the tail when it is
-// non-empty and sorts before the heap top, else the heap top. The queue
-// must be non-empty.
+// front returns the run holding the minimum event: the least of the
+// non-empty tail, the batch head and the heap top, once pend's least
+// run no longer sorts before it (pend is flushed at most once). The
+// queue must be non-empty.
 //
 //lint:hotpath
 func (q *eventQueue) front() *run {
-	if t := &q.tail; t.head < t.end && (len(q.runs) == 0 || runBefore(t, &q.runs[0])) {
-		return t
+	for {
+		var r *run
+		if t := &q.tail; t.head < t.end {
+			r = t
+		}
+		if q.bi < len(q.batch) && (r == nil || runBefore(&q.batch[q.bi], r)) {
+			r = &q.batch[q.bi]
+		}
+		if len(q.runs) > 0 && (r == nil || runBefore(&q.runs[0], r)) {
+			r = &q.runs[0]
+		}
+		if len(q.pend) == 0 || r != nil && !runBefore(&q.pend[q.pmin], r) {
+			return r
+		}
+		q.flush()
 	}
-	return &q.runs[0]
 }
 
 // peek returns the minimum event without removing it. The queue must be
@@ -115,7 +150,10 @@ func (q *eventQueue) push(ev Event) {
 	t := &q.tail
 	if ev.Time != t.t {
 		if t.head < t.end {
-			q.pushRun(*t)
+			if len(q.pend) == 0 || t.t < q.pend[q.pmin].t {
+				q.pmin = len(q.pend)
+			}
+			q.pend = append(q.pend, *t)
 		}
 		*t = run{t: ev.Time, seq: ev.seq, head: i, end: i}
 	}
@@ -143,9 +181,85 @@ func (q *eventQueue) pop() *Event {
 	r.head++
 	q.n--
 	if r.head == r.end && r != &q.tail {
-		q.popRun()
+		if q.bi < len(q.batch) && r == &q.batch[q.bi] {
+			q.bi++
+		} else {
+			q.popRun()
+		}
 	}
 	return ev
+}
+
+// flush empties pend: into a new sorted batch when the last one has
+// drained, else run by run into the heap.
+//
+//lint:hotpath
+func (q *eventQueue) flush() {
+	if q.bi == len(q.batch) {
+		q.sortPend()
+	} else {
+		for i := range q.pend {
+			q.pushRun(q.pend[i])
+		}
+	}
+	q.pend = q.pend[:0]
+}
+
+// sortPend bucket-sorts pend into the batch. Each run goes to bucket
+// (t-lo)*(n-1)/(hi-lo) of n, the interpolation of its time over pend's
+// span [lo, hi]. The buckets are scattered stably, and since a later
+// bucket never holds an earlier time, an insertion pass with runBefore
+// finishes the order exactly; it costs one step per run when the times
+// spread evenly. The float interpolation is monotone in t, so rounding
+// can only move work to the insertion pass, never change the order.
+// pend is in seq order, so a pend with a single time is sorted already.
+//
+//lint:hotpath
+func (q *eventQueue) sortPend() {
+	p := q.pend
+	n := len(p)
+	q.batch, q.bi = q.batch[:0], 0
+	q.batch = append(q.batch, p...)
+	lo, hi := p[q.pmin].t, p[0].t
+	for i := range p {
+		hi = max(hi, p[i].t)
+	}
+	if lo == hi {
+		return
+	}
+	scale := float64(n-1) / float64(uint64(hi)-uint64(lo))
+	for len(q.count) <= n {
+		q.count = append(q.count, 0)
+	}
+	count := q.count[:n+1]
+	clear(count)
+	for i := range p {
+		count[bucket(p[i].t, lo, scale, n)+1]++
+	}
+	for k := 1; k < n; k++ {
+		count[k] += count[k-1]
+	}
+	b := q.batch
+	for i := range p {
+		k := bucket(p[i].t, lo, scale, n)
+		b[count[k]] = p[i]
+		count[k]++
+	}
+	for i := 1; i < n; i++ {
+		r := b[i]
+		j := i
+		for ; j > 0 && runBefore(&r, &b[j-1]); j-- {
+			b[j] = b[j-1]
+		}
+		b[j] = r
+	}
+}
+
+// bucket returns the bucket of time t in sortPend's interpolation.
+//
+//lint:hotpath
+func bucket(t, lo Time, scale float64, n int) int {
+	return min(int(float64(uint64(t)-uint64(lo))*scale), n-1)
 }
 
 // pushRun inserts r into the run heap.
@@ -205,20 +319,30 @@ func (q *eventQueue) popRun() {
 }
 
 // compact copies every live run to the front of the spare buffer, tail
-// last, and swaps the buffers. Heap keys are unchanged, so the heap
+// last, and swaps the buffers. Run keys are unchanged, so every tier
 // stays ordered.
 //
 //lint:hotpath
 func (q *eventQueue) compact() {
-	buf := q.spare[:0]
+	q.spare = q.spare[:0]
 	for i := range q.runs {
-		r := &q.runs[i]
-		start := len(buf)
-		buf = append(buf, q.log[r.head:r.end]...)
-		r.head, r.end = start, len(buf)
+		q.moveRun(&q.runs[i])
 	}
-	start := len(buf)
-	buf = append(buf, q.log[q.tail.head:q.tail.end]...)
-	q.tail.head, q.tail.end = start, len(buf)
-	q.log, q.spare = buf, q.log[:0]
+	for i := q.bi; i < len(q.batch); i++ {
+		q.moveRun(&q.batch[i])
+	}
+	for i := range q.pend {
+		q.moveRun(&q.pend[i])
+	}
+	q.moveRun(&q.tail)
+	q.log, q.spare = q.spare, q.log[:0]
+}
+
+// moveRun appends r's events to the spare buffer and points r at them.
+//
+//lint:hotpath
+func (q *eventQueue) moveRun(r *run) {
+	start := len(q.spare)
+	q.spare = append(q.spare, q.log[r.head:r.end]...)
+	r.head, r.end = start, len(q.spare)
 }

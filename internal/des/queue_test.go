@@ -3,6 +3,7 @@ package des
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 	"testing"
 	"unsafe"
@@ -123,6 +124,7 @@ func (r *refQueue) reset() { r.keys, r.seq = r.keys[:0], 0 }
 // many events as the reference after the pop. An event whose A is k > 0
 // then schedules k follow-on self events spaced B apart from now, so
 // B = 0 is an equal-time burst pushed at now from inside a handler.
+// Follow-on times saturate at math.MaxInt64.
 type scriptComp struct {
 	eng       *Engine
 	ref       *refQueue
@@ -145,7 +147,7 @@ func (c *scriptComp) HandleEvent(ctx *Context, ev Event) {
 		return
 	}
 	for i := int64(0); i < ev.Payload.A; i++ {
-		d := Time(ev.Payload.B * i)
+		d := min(Time(ev.Payload.B*i), math.MaxInt64-ctx.Now())
 		ctx.ScheduleSelf(d, Payload{})
 		c.ref.push(ctx.Now() + d)
 	}
@@ -153,9 +155,11 @@ func (c *scriptComp) HandleEvent(ctx *Context, ev Event) {
 
 // runQueueScript drives an engine through the operations data encodes
 // — equal-time bursts, pushes at now (from outside and from handlers),
-// interleaved times, single steps, Run(horizon) stops, peeks and Resets
+// interleaved times, compute bursts at distinct times, pushes near
+// math.MaxInt64, single steps, Run(horizon) stops, peeks and Resets
 // with events still queued — and holds every delivery, peek and pending
-// count to a sorted reference. It drains the engine at the end.
+// count to a sorted reference. It drains the engine at the end. Times
+// relative to now saturate at math.MaxInt64.
 func runQueueScript(data []byte) error {
 	e := NewEngine()
 	ref := &refQueue{}
@@ -173,21 +177,22 @@ func runQueueScript(data []byte) error {
 		e.ScheduleAt(t, id, p)
 		ref.push(t)
 	}
+	after := func(d int64) Time { return e.Now() + min(Time(d), math.MaxInt64-e.Now()) }
 	for pos < len(data) && c.err == nil {
-		switch next() % 7 {
+		switch next() % 9 {
 		case 0: // equal-time burst, possibly at now
-			t := e.Now() + Time(next()%4)
+			t := after(next() % 4)
 			for n := next()%16 + 1; n > 0; n-- {
 				schedule(t, Payload{})
 			}
 		case 1: // interleaved single push
-			schedule(e.Now()+Time(next()%32), Payload{})
+			schedule(after(next()%32), Payload{})
 		case 2: // push at now whose handler pushes follow-ons
 			schedule(e.Now(), Payload{A: next() % 8, B: next() % 3})
 		case 3:
 			e.Step()
 		case 4:
-			horizon := e.Now() + Time(next()%16) + 1
+			horizon := after(next()%16 + 1)
 			e.Run(horizon)
 			if c.err == nil && len(ref.keys) > 0 && ref.keys[0].t <= horizon {
 				return fmt.Errorf("Run(%d) stopped with (%d, %d) still due", horizon, ref.keys[0].t, ref.keys[0].seq)
@@ -201,6 +206,14 @@ func runQueueScript(data []byte) error {
 		case 6:
 			e.Reset()
 			ref.reset()
+		case 7: // compute burst: up to 64 distinct times in stride order,
+			// each handler pushing equal-time follow-ons at now
+			n, stride, follow := next()%64+1, next()%66+1, next()%3
+			for i := int64(0); i < n; i++ {
+				schedule(after(1+i*stride%67), Payload{A: follow})
+			}
+		case 8: // a push near math.MaxInt64
+			schedule(max(e.Now(), math.MaxInt64-Time(next()%4)), Payload{})
 		}
 		if c.err == nil && e.Pending() != len(ref.keys) {
 			return fmt.Errorf("%d pending, reference holds %d", e.Pending(), len(ref.keys))
@@ -216,9 +229,43 @@ func runQueueScript(data []byte) error {
 	return nil
 }
 
-// TestEventQueueMatchesReference runs seeded random scripts through the
-// engine's queue against the sorted reference.
+// batchScripts are hand-written queue scripts (see runQueueScript) for
+// the batch tier: how runs that leave the tail collect in pend and
+// drain as a sorted batch or through the heap.
+var batchScripts = []struct {
+	name string
+	data []byte
+}{
+	// 64 distinct times, each delivery pushing two events at now.
+	{"compute burst with equal-time follow-ons", []byte{7, 63, 4, 2}},
+	// A batch starts draining; then a push at 5 (a straggler whose
+	// time equals a batch run's) and one at 8 move the burst's last
+	// run and the straggler to pend. The straggler is due before the
+	// batch has drained, so pend goes to the heap.
+	{"straggler while a batch drains", []byte{7, 63, 4, 0, 3, 3, 3, 1, 2, 1, 5, 5, 3, 5, 3, 5, 3, 3}},
+	// pend holds runs at 5, 6, 5, 6 in seq order.
+	{"equal times inside pend", []byte{1, 5, 1, 6, 1, 5, 1, 6, 1, 5, 5, 3, 3, 3}},
+	{"one-run pend", []byte{1, 5, 1, 6, 3, 5, 3}},
+	// Pushes at 10 and 5, a pop of 5, then pushes at 10 and 5 again:
+	// pend holds two runs at 10.
+	{"lo == hi", []byte{1, 10, 1, 5, 3, 1, 5, 1, 0, 3, 5}},
+	// pend spans [3, math.MaxInt64], then three runs near the top.
+	{"span near MaxInt64", []byte{1, 3, 8, 0, 1, 5, 3, 8, 1, 8, 2, 8, 3, 1, 0, 3, 5}},
+	// A 64-run burst, a far run and a push at now that moves the far
+	// run to pend: every near run shares bucket 0, so the insertion
+	// pass sorts them all.
+	{"burst and a far run", []byte{7, 63, 7, 1, 8, 0, 1, 0, 3, 3, 3, 5, 7, 20, 3, 0, 3, 3}},
+}
+
+// TestEventQueueMatchesReference runs the batch scripts and seeded
+// random scripts through the engine's queue against the sorted
+// reference.
 func TestEventQueueMatchesReference(t *testing.T) {
+	for _, s := range batchScripts {
+		if err := runQueueScript(s.data); err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+	}
 	x := uint64(0x243f6a8885a308d3)
 	for script := 0; script < 200; script++ {
 		data := make([]byte, 2048)
@@ -237,6 +284,9 @@ func TestEventQueueMatchesReference(t *testing.T) {
 func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{0, 3, 9, 3, 3, 1, 7, 4, 5, 6, 2, 5, 0, 4, 3})
 	f.Add([]byte{2, 7, 0, 4, 2, 1, 2, 5, 5, 0, 0, 15, 4, 15, 6, 0, 1, 2})
+	for _, s := range batchScripts {
+		f.Add(s.data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if err := runQueueScript(data); err != nil {
 			t.Fatal(err)
@@ -244,11 +294,88 @@ func FuzzEventQueue(f *testing.F) {
 	})
 }
 
+// barrierRank is one rank of TestBarrierBurstStraggler: a release
+// (kind 0) starts a compute step of pseudo-random length, and the
+// step's end (kind 1) is reported to the barrier.
+type barrierRank struct {
+	toBarrier LinkID
+	x         uint64 // LCG state
+}
+
+func (r *barrierRank) HandleEvent(ctx *Context, ev Event) {
+	if ev.Payload.Kind == 0 {
+		r.x = r.x*6364136223846793005 + 1442695040888963407
+		ctx.ScheduleSelf(Time(1+r.x>>54), Payload{Kind: 1})
+		return
+	}
+	ctx.Send(r.toBarrier, 0, Payload{})
+}
+
+// rankBarrier releases every rank once all have reported, until its
+// rounds run out.
+type rankBarrier struct {
+	release []LinkID
+	arrived int
+	rounds  int
+}
+
+func (b *rankBarrier) HandleEvent(ctx *Context, _ Event) {
+	if b.arrived++; b.arrived < len(b.release) {
+		return
+	}
+	b.arrived = 0
+	if b.rounds--; b.rounds > 0 {
+		for _, l := range b.release {
+			ctx.Send(l, 0, Payload{})
+		}
+	}
+}
+
+// TestBarrierBurstStraggler pins which tiers a barrier-synchronised
+// compute burst (the DES traffic of a LULESH step) takes. All compute
+// ends but the last-scheduled one drain as one sorted batch. The
+// last-scheduled one stays in the tail until the first arrival at the
+// barrier pushes it to pend; the batch is still draining by then, so
+// unless it is the burst's latest it goes through the heap, as the
+// only run there.
+func TestBarrierBurstStraggler(t *testing.T) {
+	const ranks, rounds = 64, 50
+	e := NewEngine()
+	bar := &rankBarrier{rounds: rounds}
+	barID := e.Register(bar)
+	rs := make([]barrierRank, ranks)
+	for i := range rs {
+		rs[i].x = uint64(i) * 0x9e3779b97f4a7c15
+		id := e.Register(&rs[i])
+		rs[i].toBarrier = e.Connect(id, barID, 0)
+		bar.release = append(bar.release, e.Connect(barID, id, 0))
+		e.ScheduleAt(0, id, Payload{})
+	}
+	q := &e.queue
+	heapRuns, maxHeap, maxBatch := 0, 0, 0
+	for e.Pending() > 0 {
+		q.peek() // flushes pend as pop would
+		if len(q.runs) > 0 {
+			heapRuns++
+		}
+		maxHeap = max(maxHeap, len(q.runs))
+		maxBatch = max(maxBatch, len(q.batch)-q.bi)
+		e.Step()
+	}
+	if maxBatch < ranks/2 {
+		t.Errorf("largest live batch %d runs, want a compute burst's (about %d)", maxBatch, ranks-1)
+	}
+	if maxHeap != 1 || heapRuns < rounds/2 || heapRuns > rounds {
+		t.Errorf("heap held up to %d runs over %d deliveries in %d rounds; want one straggler run in most rounds", maxHeap, heapRuns, rounds)
+	}
+}
+
 // TestEventQueueMemoryBound pushes over a million events through a
 // queue that never holds more than 64, in the shapes the simulator
-// produces (equal-time bursts, distinct times, pushes at now), and
-// checks compaction keeps the log's capacity within 4x the peak pending
-// count plus 128.
+// produces (equal-time bursts, compute bursts at distinct times, single
+// distinct times, pushes at now), and checks compaction keeps the log's
+// capacity within 4x the peak pending count plus 128, and every run
+// list's within the same bound.
 func TestEventQueueMemoryBound(t *testing.T) {
 	var q eventQueue
 	x := uint64(11)
@@ -266,6 +393,11 @@ func TestEventQueueMemoryBound(t *testing.T) {
 	}
 	for seq < 1<<20+1000 {
 		switch {
+		case q.len() == 0 && next()%2 == 0:
+			stride := Time(next()%66 + 1)
+			for i := Time(0); i < 64; i++ {
+				push(now + 1 + i*stride%67)
+			}
 		case q.len() < 64 && next()%2 == 0:
 			t := now + Time(next()%4)
 			for n := min(int(next()%16)+1, 64-q.len()); n > 0; n-- {
@@ -287,6 +419,10 @@ func TestEventQueueMemoryBound(t *testing.T) {
 	if cap(q.log) > limit || cap(q.spare) > limit {
 		t.Fatalf("after %d events at peak %d pending: log capacity %d, spare %d, want <= %d",
 			seq, peak, cap(q.log), cap(q.spare), limit)
+	}
+	if cap(q.runs) > limit || cap(q.batch) > limit || cap(q.pend) > limit || cap(q.count) > limit {
+		t.Fatalf("at peak %d pending: run capacities heap %d, batch %d, pend %d, buckets %d, want <= %d",
+			peak, cap(q.runs), cap(q.batch), cap(q.pend), cap(q.count), limit)
 	}
 }
 

@@ -72,8 +72,9 @@ func row(t *testing.T, rows map[string][]float64, section, name string) []float6
 
 // TestArchiveClaims holds the archived paper reproduction to the
 // paper's qualitative claims, so a regenerated archive cannot drift
-// out of them silently: the Table III and IV error bands, the Fig 9
-// overhead ordering and rank growth, and the Figs 7-8 series errors.
+// out of them silently: the Table III and IV error bands, Fig 6's
+// checkpoints above timesteps, the Fig 9 overhead ordering and rank
+// growth, and the Figs 7-8 series errors.
 func TestArchiveClaims(t *testing.T) {
 	data, err := os.ReadFile(archivePath)
 	if err != nil {
@@ -105,6 +106,41 @@ func TestArchiveClaims(t *testing.T) {
 	for _, name := range []string{"LULESH + No FT", "LULESH + L1", "LULESH + L1 & L2"} {
 		if m := row(t, t4, "Table IV", name)[0]; m <= 0 || m > 35 {
 			t.Errorf("Table IV: %s MAPE %.2f%% outside (0, 35]", name, m)
+		}
+	}
+
+	// Fig 6: at epr 15 the modeled timestep is below both modeled
+	// checkpoint levels at every measured rank count (the archive's
+	// counterpart of TestFigOrderingCkptAboveTimestep).
+	fig6, _ := archiveBlock(t, lines, 0, "Fig 6:")
+	modeled := map[string]map[string]float64{} // op -> ranks -> modeled
+	op := ""
+	for _, line := range fig6[1:] {
+		f := strings.Fields(line)
+		switch {
+		case len(f) == 1:
+			op = f[0]
+			modeled[op] = map[string]float64{}
+		case len(f) >= 4 && f[0] == "15" && f[2] != "(predict)":
+			v, err := strconv.ParseFloat(f[3], 64)
+			if err != nil || op == "" {
+				t.Fatalf("Fig 6: bad row %q", line)
+			}
+			modeled[op][f[1]] = v
+		}
+	}
+	steps := modeled["lulesh_timestep"]
+	if len(steps) == 0 {
+		t.Fatal("Fig 6: no measured lulesh_timestep rows at epr 15")
+	}
+	for _, ck := range []string{"fti_ckpt_l1", "fti_ckpt_l2"} {
+		if len(modeled[ck]) != len(steps) {
+			t.Fatalf("Fig 6: %s has %d measured rank counts at epr 15, the timestep %d", ck, len(modeled[ck]), len(steps))
+		}
+		for ranks, step := range steps {
+			if c, ok := modeled[ck][ranks]; !ok || step >= c {
+				t.Errorf("Fig 6 epr 15, %s ranks: modeled timestep %g is not below %s %g", ranks, step, ck, c)
+			}
 		}
 	}
 

@@ -36,6 +36,7 @@ type Entry struct {
 // Registry is every gated benchmark, each defined once.
 var Registry = []Entry{
 	micro("des/DESDispatch/ring64", benchDispatch),
+	micro("des/DESDispatch/burst64", benchBurst),
 	macro("besst/MonteCarloDirect/serial", monteCarloDirect),
 	macro("besst/MonteCarloDES/serial", monteCarloDES),
 	macro("dse/OverheadSweep/serial", overheadSweep),
@@ -143,6 +144,70 @@ func benchDispatch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	e.ScheduleAt(0, ids[0], des.Payload{A: int64(b.N)})
+	e.Run(0)
+}
+
+// burstRank is one of benchBurst's ranks: a release (kind 0) starts a
+// compute step of pseudo-random length, and the step's end (kind 1) is
+// reported to the barrier.
+type burstRank struct {
+	toBarrier des.LinkID
+	x         uint64 // LCG state
+}
+
+func (r *burstRank) HandleEvent(ctx *des.Context, ev des.Event) {
+	if ev.Payload.Kind == 0 {
+		r.x = r.x*6364136223846793005 + 1442695040888963407
+		ctx.ScheduleSelf(des.Time(1+r.x>>54), des.Payload{Kind: 1})
+		return
+	}
+	ctx.Send(r.toBarrier, 0, des.Payload{})
+}
+
+// burstBarrier releases every rank once all have reported, until its
+// rounds run out.
+type burstBarrier struct {
+	release []des.LinkID
+	arrived int
+	rounds  int
+}
+
+func (b *burstBarrier) HandleEvent(ctx *des.Context, _ des.Event) {
+	if b.arrived++; b.arrived < len(b.release) {
+		return
+	}
+	b.arrived = 0
+	if b.rounds--; b.rounds > 0 {
+		for _, l := range b.release {
+			ctx.Send(l, 0, des.Payload{})
+		}
+	}
+}
+
+// benchBurst runs a DES compute-burst pattern: 64 ranks released at
+// one time each compute for 1-1024 ns (deterministic pseudo-random
+// draws) and report to a barrier, which releases them all again. Every
+// round is 64 releases at one timestamp, 64 compute ends at mostly
+// distinct ones and 64 arrivals; one op is one delivered event, b.N
+// rounded up to whole rounds of 192.
+func benchBurst(b *testing.B) {
+	const ranks = 64
+	e := des.NewEngine()
+	bar := &burstBarrier{rounds: (b.N + 3*ranks - 1) / (3 * ranks)}
+	barID := e.Register(bar)
+	rs := make([]burstRank, ranks)
+	ids := make([]des.ComponentID, ranks)
+	for i := range rs {
+		rs[i].x = uint64(i) * 0x9e3779b97f4a7c15
+		ids[i] = e.Register(&rs[i])
+		rs[i].toBarrier = e.Connect(ids[i], barID, 0)
+		bar.release = append(bar.release, e.Connect(barID, ids[i], 0))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, id := range ids {
+		e.ScheduleAt(0, id, des.Payload{})
+	}
 	e.Run(0)
 }
 
