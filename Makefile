@@ -106,9 +106,11 @@ chaos:
 # hash to the input's campaign ID), the serve request planner (every
 # rejection is a 400-class error, every accepted plan has bounded
 # trials and at least one work unit), the DES event queue (every
-# delivery in (Time, seq) order against a sorted reference), and the
-# screened per-rank maximum (stats.RNG.MaxNormal against the per-draw
-# loop: result bits, generator state and the draws after it), and the
+# delivery in (Time, seq) order against a sorted reference), DES mode
+# against its lockstep fold on random programs (byte-equal results and
+# the fold's count of delivered events), the screened per-rank maximum
+# (stats.RNG.MaxNormal against the per-draw loop: result bits,
+# generator state and the draws after it), and the
 # GP column fitness over datasets with repeated input rows (MAPE bits
 # against the row-wise Node.Eval reference).
 fuzz:
@@ -119,6 +121,7 @@ fuzz:
 	$(GO) test ./internal/serve -run xxx -fuzz FuzzCanonicalJSON -fuzztime 20s
 	$(GO) test ./internal/serve -run xxx -fuzz FuzzBuildPlan -fuzztime 20s
 	$(GO) test ./internal/des -run xxx -fuzz FuzzEventQueue -fuzztime 20s
+	$(GO) test ./internal/besst -run xxx -fuzz FuzzDESFold -fuzztime 20s
 	$(GO) test ./internal/stats -run xxx -fuzz FuzzMaxNormal -fuzztime 20s
 	$(GO) test ./internal/symreg -run xxx -fuzz FuzzColumnFitness -fuzztime 20s
 

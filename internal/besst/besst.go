@@ -58,8 +58,12 @@ type Result struct {
 	// CkptTimes are the completion times of each checkpoint instance
 	// (the black dots of Figs 7-8).
 	CkptTimes []float64
-	// Events is the number of discrete events processed (0 in Direct
-	// mode).
+	// Events is the number of discrete events of the DES protocol (0
+	// in Direct mode): per rank, one start event, one per compute step,
+	// and one arrival plus one release per Comm or Ckpt. The engine
+	// delivers fewer (it fuses back-to-back syncs and sends an arrival
+	// at its compute's end, see des.go) and counts the ones it skips
+	// back in, so this stays the count of the modeled protocol.
 	Events uint64
 	// Breakdown decomposes rank 0's wall time by activity — the
 	// overhead decomposition DSE reports need.

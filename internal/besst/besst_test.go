@@ -335,6 +335,45 @@ func TestScenarioOverheadOrdering(t *testing.T) {
 	}
 }
 
+// TestCkptOverheadMonotoneInFrequency is the paper's metamorphic
+// checkpoint property, on LULESH at 64 ranks, deterministic, in both
+// modes: as the L1 period shrinks (50, 25, 10, 5 steps) neither the
+// makespan nor the checkpoint time may fall, with L2 held at the
+// paper's 40 steps, and at every period No FT <= L1 <= L1&L2. Steps
+// that checkpoint at both levels fuse a run of four syncs in DES mode.
+func TestCkptOverheadMonotoneInFrequency(t *testing.T) {
+	arch := constArch(0.01, 0.1, 0.15)
+	for _, mode := range []Mode{DES, Direct} {
+		noFT := Run(lulesh.App(10, 64, 200, lulesh.ScenarioNoFT, cfg), arch, WithMode(mode))
+		var prevL1, prevL12 *Result
+		for _, period := range []int{50, 25, 10, 5} {
+			l1Sched := lulesh.CkptSchedule{Level: fti.L1, Period: period}
+			l1 := Run(lulesh.App(10, 64, 200, lulesh.Scenario{Name: "L1",
+				Schedules: []lulesh.CkptSchedule{l1Sched}}, cfg), arch, WithMode(mode))
+			l12 := Run(lulesh.App(10, 64, 200, lulesh.Scenario{Name: "L1 & L2",
+				Schedules: []lulesh.CkptSchedule{l1Sched, {Level: fti.L2, Period: 40}}}, cfg), arch, WithMode(mode))
+			if l1.Makespan < noFT.Makespan || l12.Makespan < l1.Makespan {
+				t.Errorf("%v L1 period %d: makespans No FT %v, L1 %v, L1&L2 %v, want ascending",
+					mode, period, noFT.Makespan, l1.Makespan, l12.Makespan)
+			}
+			for _, c := range []struct {
+				name       string
+				prev, this *Result
+			}{{"L1", prevL1, l1}, {"L1&L2", prevL12, l12}} {
+				if c.prev == nil {
+					continue
+				}
+				if c.this.Makespan < c.prev.Makespan || c.this.Breakdown.CkptSec < c.prev.Breakdown.CkptSec {
+					t.Errorf("%v %s: L1 period %d has makespan %v, checkpoint time %v; the longer period had %v, %v",
+						mode, c.name, period, c.this.Makespan, c.this.Breakdown.CkptSec,
+						c.prev.Makespan, c.prev.Breakdown.CkptSec)
+				}
+			}
+			prevL1, prevL12 = l1, l12
+		}
+	}
+}
+
 func TestMonteCarloDeterministicBySeed(t *testing.T) {
 	app := lulesh.App(10, 8, 20, lulesh.ScenarioL1, cfg)
 	arch := beo.NewArchBEO(machine.Quartz(), 2)

@@ -14,13 +14,24 @@ import (
 // cost and releases everyone.
 //
 // Every rank runs the same program, so the simulation walks it once:
-// seg holds the dynamic instructions from one sync up to and including
-// the next, and each rank keeps only its index into it. The coordinator
-// refills seg when the last rank arrives, while every rank is blocked,
-// so seg holds at most the longest sync-free stretch of the program —
-// a few entries for LULESH and CMT-bone, whose every step syncs, but
-// the whole unrolled program for one with no Comm or Ckpt (see
-// CompiledRun).
+// seg holds the dynamic instructions after one release up to and
+// including the next run of syncs, and each rank keeps only its index
+// into it. The coordinator refills seg when the last rank arrives,
+// while every rank is blocked, so seg holds at most the longest
+// sync-free stretch of the program plus the longest run of back-to-back
+// syncs — a few entries for LULESH and CMT-bone, whose every step
+// syncs, but the whole unrolled program for one with no Comm or Ckpt
+// (see CompiledRun).
+//
+// Every sync is a global barrier, so a run of syncs with no compute
+// and no step end between them is fused: the ranks arrive once, and
+// the coordinator charges each sync of the run in order and releases
+// once, at the time the chain of per-sync releases would have ended.
+// A rank whose compute ends at a sync sends its arrival with the
+// compute time as extra delay instead of waking itself first. Both
+// keep every result byte (DESIGN.md); Result.Events still counts the
+// events of the unfused protocol. A model of neighbour-only syncs
+// would have to fuse only runs of global ones.
 
 // Payload kinds on des.Payload.Kind. The protocol is the kind alone,
 // so the steady-state event path never boxes a payload.
@@ -46,16 +57,24 @@ type rankComp struct {
 // time order, so its clock is the latest arrival.
 type coordComp struct {
 	sim *desSim
-	// arrived counts the ranks at the open sync. Every Comm and Ckpt is
-	// a global barrier, so at most one sync is open at a time and one
-	// counter serves them all; a neighbour-only halo would break this.
-	// It re-zeroes as each sync completes, ready for the next trial.
+	// arrived counts the ranks at the open sync run. Every Comm and
+	// Ckpt is a global barrier, so at most one run is open at a time
+	// and one counter serves them all; a neighbour-only halo would
+	// break this. It re-zeroes as each run completes, ready for the
+	// next trial.
 	arrived int
-	// done is the sync the ranks last completed, for rank 0's
-	// breakdown.
-	done    *cinstr
+	// done holds each sync of the run the ranks last completed, in
+	// order, with the time its own release would have reached them,
+	// for rank 0's breakdown.
+	done    []doneSync
 	release []des.LinkID // rank -> coordinator-to-rank link handle
 	rng     *stats.RNG
+}
+
+// doneSync is one charged sync of a fused run.
+type doneSync struct {
+	at   des.Time // the sync's release time
+	ckpt bool     // a checkpoint instance, else a Comm
 }
 
 // desSim is one fully wired DES simulation of a CompiledRun. Engines,
@@ -72,7 +91,12 @@ type desSim struct {
 	rankC  []*rankComp
 	ends   []des.Time // per-rank completion time
 	w      walker     // the simulation's one walk of the program
-	seg    []*cinstr  // the walk's next sync-free stretch and its sync
+	seg    []*cinstr  // the walk's next sync-free stretch and its sync run
+	carry  *cinstr    // the instruction fill read past seg's sync run
+	// elided counts the protocol's events the fused engine skips: the
+	// arrivals and releases inside sync runs, and the self events of
+	// computes that end at a sync.
+	elided uint64
 }
 
 // newDesSim builds and wires a simulation for cr. All per-trial state
@@ -118,7 +142,9 @@ func (s *desSim) reset(cfg RunConfig, stream int) {
 		rc.pc = 0
 	}
 	s.w = s.cr.walker(s.w.stack)
+	s.carry = s.w.next()
 	s.fill()
+	s.elided = 0
 	for i := range s.ends {
 		s.ends[i] = 0
 	}
@@ -130,17 +156,26 @@ func (s *desSim) reset(cfg RunConfig, stream int) {
 	s.eng.SetTracer(cfg.Tracer, stream)
 }
 
-// fill refills seg with the walk's next dynamic instructions, through
-// the next sync or the end of the program.
+// fill refills seg with the walk's next dynamic instructions, from
+// carry through the next run of back-to-back syncs or the end of the
+// program, and keeps the instruction after the run in carry.
 func (s *desSim) fill() {
 	s.seg = s.seg[:0]
-	for c := s.w.next(); c != nil; c = s.w.next() {
-		s.seg = append(s.seg, c)
-		if c.kind == ckComm || c.kind == ckCkpt {
-			return
+	inRun := false
+	c := s.carry
+	for ; c != nil; c = s.w.next() {
+		if inRun && !c.isSync() {
+			break
 		}
+		inRun = c.isSync()
+		s.seg = append(s.seg, c)
 	}
+	s.carry = c
 }
+
+// isSync reports whether c is a synchronization point: a Comm or a
+// Ckpt.
+func (c *cinstr) isSync() bool { return c.kind == ckComm || c.kind == ckCkpt }
 
 // simulateDES runs one DES-mode replication. stream tags tracer hooks
 // so trials sharing one tracer stay distinguishable (Replicate passes
@@ -176,7 +211,7 @@ func (s *desSim) run(cfg RunConfig, stream int) *Result {
 	}
 	res := s.res
 	res.Makespan = max.Seconds()
-	res.Events = s.eng.Processed()
+	res.Events = s.eng.Processed() + s.elided
 	s.res = nil
 	return res
 }
@@ -188,13 +223,18 @@ func (rc *rankComp) HandleEvent(ctx *des.Context, ev des.Event) {
 	if ev.Payload.Kind == pkRelease {
 		rc.pc = 0 // the coordinator refilled seg
 		if rc.rank == 0 {
-			// Charge the blocked interval (wait for stragglers + the
-			// collective/checkpoint cost itself) to the right bucket.
-			elapsed := (ctx.Now() - rc.waitSince).Seconds()
-			if s.coordC.done.kind == ckCkpt {
-				s.res.Breakdown.CkptSec += elapsed
-			} else {
-				s.res.Breakdown.CommSec += elapsed
+			// Charge each blocked interval of the run (the wait for
+			// stragglers, then each collective/checkpoint cost) to its
+			// bucket, as the chain of per-sync releases would have.
+			since := rc.waitSince
+			for _, d := range s.coordC.done {
+				elapsed := (d.at - since).Seconds()
+				if d.ckpt {
+					s.res.Breakdown.CkptSec += elapsed
+				} else {
+					s.res.Breakdown.CommSec += elapsed
+				}
+				since = d.at
 			}
 		}
 	}
@@ -212,7 +252,16 @@ func (rc *rankComp) HandleEvent(ctx *des.Context, ev des.Event) {
 			if rc.rank == 0 {
 				s.res.Breakdown.ComputeSec += dt
 			}
-			ctx.ScheduleSelf(des.FromSeconds(dt), des.Payload{Kind: pkAdvance})
+			d := des.FromSeconds(dt)
+			if rc.pc < len(s.seg) && s.seg[rc.pc].isSync() {
+				// The compute ends at a sync: arrive then, with no
+				// self event in between.
+				rc.waitSince = ctx.Now() + d
+				ctx.Send(rc.toCoord, d, des.Payload{Kind: pkArrive})
+				s.elided++
+				return
+			}
+			ctx.ScheduleSelf(d, des.Payload{Kind: pkAdvance})
 			return
 		case ckComm, ckCkpt:
 			rc.waitSince = ctx.Now()
@@ -247,23 +296,29 @@ func (cc *coordComp) HandleEvent(ctx *des.Context, ev des.Event) {
 
 	// All ranks arrived (the coordinator's clock is already at the
 	// latest arrival, since events are processed in time order), all
-	// at the sync that ends seg.
-	c := s.seg[len(s.seg)-1]
-	cc.done = c
-	var cost float64
-	switch c.kind {
-	case ckComm:
-		cost = c.detCost
-	case ckCkpt:
-		if s.cfg.MonteCarlo {
-			cost = c.sample(cc.rng) // one coordinated draw
-		} else {
-			cost = c.detCost
-		}
-		s.res.CkptTimes = append(s.res.CkptTimes, ctx.Now().Seconds()+cost)
+	// at the sync run that ends seg. Charge each sync in order, each
+	// from the previous one's release, in the same integer nanoseconds
+	// the chain of per-sync releases would add.
+	cc.done = cc.done[:0]
+	run := len(s.seg)
+	for run > 0 && s.seg[run-1].isSync() {
+		run--
 	}
+	at := ctx.Now()
+	for _, c := range s.seg[run:] {
+		cost := c.detCost
+		if c.kind == ckCkpt {
+			if s.cfg.MonteCarlo {
+				cost = c.sample(cc.rng) // one coordinated draw
+			}
+			s.res.CkptTimes = append(s.res.CkptTimes, at.Seconds()+cost)
+		}
+		at += des.FromSeconds(cost)
+		cc.done = append(cc.done, doneSync{at: at, ckpt: c.kind == ckCkpt})
+	}
+	s.elided += 2 * uint64(s.cr.app.Ranks) * uint64(len(cc.done)-1)
 	s.fill()
-	extra := des.FromSeconds(cost)
+	extra := at - ctx.Now()
 	release := des.Payload{Kind: pkRelease}
 	for _, l := range cc.release {
 		ctx.Send(l, extra, release)

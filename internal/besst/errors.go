@@ -48,12 +48,15 @@ func validateTrials(n int) error {
 }
 
 // CompileErr is Compile with an error return instead of a panic: nil
-// app or arch and app/arch validation failures come back as typed
-// errors so long-running campaign drivers can reject bad inputs without
-// recovering deep in the run.
+// app or arch, an app with no ranks and app/arch validation failures
+// come back as typed errors so long-running campaign drivers can reject
+// bad inputs without recovering deep in the run.
 func CompileErr(app *beo.AppBEO, arch *beo.ArchBEO) (*CompiledRun, error) {
 	if app == nil {
 		return nil, &ConfigError{Field: "app", Reason: "nil AppBEO"}
+	}
+	if app.Ranks <= 0 {
+		return nil, &ConfigError{Field: "app", Reason: fmt.Sprintf("non-positive rank count %d", app.Ranks)}
 	}
 	if arch == nil {
 		return nil, &ConfigError{Field: "arch", Reason: "nil ArchBEO"}

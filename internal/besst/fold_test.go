@@ -11,6 +11,7 @@ import (
 	"besst/internal/des"
 	"besst/internal/lulesh"
 	"besst/internal/machine"
+	"besst/internal/obs"
 	"besst/internal/perfmodel"
 	"besst/internal/stats"
 )
@@ -21,9 +22,13 @@ import (
 // draw to that rank's integer-nanosecond clock, a barrier sets every
 // clock to the max plus the sync's cost (checkpoint costs drawn from
 // the coordinator's stream), and rank 0 keeps the step series and the
-// breakdown. Each rank handles one start event, one self event per
-// compute step, and one arrival plus one release per sync.
-func foldDES(cr *CompiledRun, cfg RunConfig) *Result {
+// breakdown. Result.Events counts the unfused protocol: per rank, one
+// start event, one self event per compute step, and one arrival plus
+// one release per sync. foldDES also returns the events the fused
+// engine delivers: per rank, one start event, one self event per
+// compute not directly followed by a sync, and one arrival plus one
+// release per run of back-to-back syncs.
+func foldDES(cr *CompiledRun, cfg RunConfig) (*Result, uint64) {
 	var master, coord stats.RNG
 	master.Reseed(cfg.Seed)
 	master.SplitTo(&coord)
@@ -33,9 +38,10 @@ func foldDES(cr *CompiledRun, cfg RunConfig) *Result {
 	}
 	clock := make([]des.Time, cr.app.Ranks)
 	res := &Result{StepCompletions: []float64{}, CkptTimes: []float64{}}
-	comps, syncs := 0, 0
+	comps, syncs, delivered := 0, 0, 1
+	var prev *cinstr
 	w := cr.walker(nil)
-	for c := w.next(); c != nil; c = w.next() {
+	for c := w.next(); c != nil; prev, c = c, w.next() {
 		switch c.kind {
 		case ckComp:
 			for r := range clock {
@@ -49,6 +55,7 @@ func foldDES(cr *CompiledRun, cfg RunConfig) *Result {
 				clock[r] += des.FromSeconds(dt)
 			}
 			comps++
+			delivered++
 		case ckComm, ckCkpt:
 			at, cost := slices.Max(clock), c.detCost
 			if c.kind == ckCkpt {
@@ -67,31 +74,78 @@ func foldDES(cr *CompiledRun, cfg RunConfig) *Result {
 				clock[r] = release
 			}
 			syncs++
+			switch {
+			case prev == nil || prev.kind == ckLoop:
+				delivered += 2
+			case prev.kind == ckComp:
+				delivered++ // the compute's self event became the arrival
+			}
 		case ckLoop:
 			res.StepCompletions = append(res.StepCompletions, clock[0].Seconds())
 		}
 	}
 	res.Makespan = slices.Max(clock).Seconds()
 	res.Events = uint64(cr.app.Ranks * (1 + comps + 2*syncs))
-	return res
+	return res, uint64(cr.app.Ranks * delivered)
 }
 
-// requireFoldEqual runs cr in DES mode and through the fold and
-// requires byte-equal Result JSON.
+// requireFoldEqual runs cr in DES mode and through the fold, and
+// requires byte-equal Result JSON and the fold's count of delivered
+// events from the engine.
 func requireFoldEqual(t *testing.T, label string, cr *CompiledRun, cfg RunConfig) {
 	t.Helper()
-	cfg.Mode = DES
+	col := obs.NewCollector()
+	cfg.Mode, cfg.Collector = DES, col
 	got, err := json.Marshal(cr.RunWith(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := json.Marshal(foldDES(cr, cfg))
+	fold, delivered := foldDES(cr, cfg)
+	want, err := json.Marshal(fold)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("%s: DES result differs from the lockstep fold\n DES: %.400s\nfold: %.400s", label, got, want)
 	}
+	if got := col.Progress().EventsProcessed; got != delivered {
+		t.Fatalf("%s: engine delivered %d events, the fold counts %d", label, got, delivered)
+	}
+}
+
+// syncShapes reports which sync neighbourhoods the fused engine treats
+// specially occur in app's dynamic instruction sequence.
+func syncShapes(app *beo.AppBEO) map[string]bool {
+	seen := map[string]bool{}
+	var prev2, prev ckind = -1, -1
+	for _, c := range unroll(app) {
+		sync := c.kind == ckComm || c.kind == ckCkpt
+		switch {
+		case sync && (prev == ckComm || prev == ckCkpt):
+			seen["a run of two or more syncs"] = true
+		case sync && prev == ckLoop && (prev2 == ckComm || prev2 == ckCkpt):
+			seen["two syncs split only by a step end"] = true
+		case sync && prev == ckComp:
+			seen["a compute directly before a sync"] = true
+		case c.kind == ckComp && prev == ckComp:
+			seen["a compute followed by a compute"] = true
+		}
+		prev2, prev = prev, c.kind
+	}
+	return seen
+}
+
+// foldArch binds the ops randomApps uses to log-normal noise models, so
+// each rank's stream matters, and z0 to a zero-cost constant.
+func foldArch() *beo.ArchBEO {
+	arch := beo.NewArchBEO(machine.Quartz(), 2)
+	for op, s := range map[string]float64{
+		"c0": 0.003, "c1": 0.0017, "k1": 0.05, "k2": 0.07, "k3": 0.11, "k4": 0.13,
+	} {
+		arch.Bind(op, perfmodel.Func{Label: op, F: func(perfmodel.Params) float64 { return s }, NoiseSigma: 0.2})
+	}
+	arch.Bind("z0", perfmodel.Constant{Label: "z0", Seconds: 0})
+	return arch
 }
 
 // TestDESMatchesLockstepFold holds DES mode to the fold byte for byte,
@@ -115,41 +169,36 @@ func TestDESMatchesLockstepFold(t *testing.T) {
 // TestDESMatchesLockstepFoldRandom holds DES mode to the fold on
 // random programs — nested loops, periodics, every comm pattern,
 // checkpoint levels 1-4, barrier intervals holding several compute
-// blocks — at 8 and 3 ranks, with every op bound to a log-normal noise
-// model so each rank's stream matters. A rank count the machine cannot
+// blocks, runs of back-to-back syncs — at 8 and 3 ranks, with every op
+// bound to a log-normal noise model so each rank's stream matters, and
+// on a program whose zero-cost computes end at syncs, so their arrivals
+// land at the release time itself. A rank count the machine cannot
 // host must fail to compile.
 func TestDESMatchesLockstepFoldRandom(t *testing.T) {
-	arch := beo.NewArchBEO(machine.Quartz(), 2)
-	for op, s := range map[string]float64{
-		"c0": 0.003, "c1": 0.0017, "k1": 0.05, "k2": 0.07, "k3": 0.11, "k4": 0.13,
-	} {
-		arch.Bind(op, perfmodel.Func{Label: op, F: func(perfmodel.Params) float64 { return s }, NoiseSigma: 0.2})
-	}
+	arch := foldArch()
 	apps, seen := randomApps(3, 120)
+	for _, app := range apps {
+		for f := range syncShapes(app) {
+			seen[f] = true
+		}
+	}
 	for _, f := range []string{
 		"loop depth 3", "periodic in loop depth 2", "comm barrier", "comm allreduce", "comm broadcast",
 		"comm gather", "comm alltoall", "comm halo", "ckpt level 1", "ckpt level 2", "ckpt level 3", "ckpt level 4",
+		"a run of two or more syncs", "two syncs split only by a step end",
+		"a compute directly before a sync", "a compute followed by a compute",
 	} {
 		if !seen[f] {
 			t.Errorf("no random program has %s", f)
 		}
 	}
-	twoComps := false
-	for _, app := range apps {
-		comps := 0
-		for _, c := range unroll(app) {
-			switch c.kind {
-			case ckComp:
-				comps++
-				twoComps = twoComps || comps >= 2
-			case ckComm, ckCkpt:
-				comps = 0
-			}
-		}
-	}
-	if !twoComps {
-		t.Error("no random program has two compute blocks between syncs")
-	}
+	apps = append(apps, &beo.AppBEO{Name: "zero-cost", Ranks: 8, Program: []beo.Instr{
+		beo.Comp{Op: "z0"}, beo.Comm{Pattern: beo.Barrier},
+		beo.Loop{Count: 4, Body: []beo.Instr{
+			beo.Comp{Op: "c0"}, beo.Comp{Op: "z0"}, beo.Comm{Pattern: beo.Allreduce, Bytes: 8},
+			beo.Comp{Op: "z0"}, beo.Ckpt{Op: "k1", Level: 1}, beo.Comm{Pattern: beo.Barrier},
+		}},
+	}})
 	// A rank count the machine cannot host never reaches either side.
 	big := *apps[0]
 	big.Ranks = arch.Machine.Nodes*arch.RanksPerNode + 1
@@ -169,26 +218,51 @@ func TestDESMatchesLockstepFoldRandom(t *testing.T) {
 	}
 }
 
+// FuzzDESFold holds DES mode to the fold on one random program per
+// seed, at 1 to 8 ranks, with Monte Carlo off and on: byte-equal
+// Result JSON and the fold's count of delivered events.
+func FuzzDESFold(f *testing.F) {
+	for _, seed := range []uint64{1, 3, 17, 9001} {
+		f.Add(seed, uint8(seed))
+	}
+	arch := foldArch()
+	f.Fuzz(func(t *testing.T, seed uint64, ranks uint8) {
+		apps, _ := randomApps(seed, 1)
+		app := *apps[0]
+		app.Ranks = 1 + int(ranks%8)
+		cr := Compile(&app, arch)
+		for _, mc := range []bool{false, true} {
+			label := fmt.Sprintf("seed=%d ranks=%d mc=%v", seed, app.Ranks, mc)
+			requireFoldEqual(t, label, cr, RunConfig{MonteCarlo: mc, Seed: seed})
+		}
+	})
+}
+
 // TestDESSegBoundedBySyncFreeStretch pins the DES walk's memory: the
 // shared seg never grows past the program's longest sync-free stretch
-// (counted on the unrolled program, its ending sync included) beyond
-// append's doubling. That stretch is a few entries for LULESH at any
-// step count, and the whole program for one with no sync.
+// (counted on the unrolled program, its ending sync included) plus its
+// longest run of back-to-back syncs, beyond append's doubling. That is
+// a few entries for LULESH at any step count, and the whole program for
+// one with no sync.
 func TestDESSegBoundedBySyncFreeStretch(t *testing.T) {
 	arch := beo.NewArchBEO(machine.Quartz(), 2)
 	for _, op := range []string{"c0", "c1", "k1", "k2", "k3", "k4", lulesh.OpTimestep, lulesh.OpCkptL1, lulesh.OpCkptL2} {
 		arch.Bind(op, perfmodel.Constant{Seconds: 0.01})
 	}
-	longest := func(app *beo.AppBEO) int {
-		most, n := 0, 0
+	longest := func(app *beo.AppBEO) (stretch, run int) {
+		n, syncs := 0, 0
 		for _, c := range unroll(app) {
 			n++
-			most = max(most, n)
+			stretch = max(stretch, n)
 			if c.kind == ckComm || c.kind == ckCkpt {
 				n = 0
+				syncs++
+				run = max(run, syncs)
+			} else {
+				syncs = 0
 			}
 		}
-		return most
+		return stretch, run
 	}
 	apps, _ := randomApps(5, 60)
 	apps = append(apps,
@@ -202,14 +276,16 @@ func TestDESSegBoundedBySyncFreeStretch(t *testing.T) {
 		a.Ranks = 8
 		s := newDesSim(Compile(&a, arch))
 		s.run(RunConfig{MonteCarlo: true, Seed: 1}, 0)
-		if want := longest(&a); cap(s.seg) > 2*max(want, 1) {
-			t.Errorf("%s: seg capacity %d, longest sync-free stretch %d", a.Name, cap(s.seg), want)
+		stretch, run := longest(&a)
+		if cap(s.seg) > 2*max(stretch+run, 1) {
+			t.Errorf("%s: seg capacity %d, longest sync-free stretch %d, longest sync run %d",
+				a.Name, cap(s.seg), stretch, run)
 		}
 	}
-	if n := longest(apps[len(apps)-2]); n > 4 {
-		t.Errorf("LULESH L1&L2: longest sync-free stretch %d entries, want a few", n)
+	if n, run := longest(apps[len(apps)-2]); n > 4 || run > 4 {
+		t.Errorf("LULESH L1&L2: longest sync-free stretch %d, sync run %d entries, want a few", n, run)
 	}
-	if n := longest(apps[len(apps)-1]); n != 9000 {
-		t.Errorf("sync-free program: longest stretch %d entries, want all 9000", n)
+	if n, run := longest(apps[len(apps)-1]); n != 9000 || run != 0 {
+		t.Errorf("sync-free program: longest stretch %d, sync run %d entries, want all 9000 and none", n, run)
 	}
 }

@@ -198,8 +198,9 @@ func Replicate(app *beo.AppBEO, arch *beo.ArchBEO, n int, opts ...Option) []*Res
 }
 
 // ReplicateErr compiles and replicates with typed-error validation of
-// every input: nil app or arch, app/arch mismatch, non-positive trial
-// count, unknown mode, absurd worker count.
+// every input: nil app or arch, an app with no ranks, app/arch
+// mismatch, non-positive trial count, unknown mode, absurd worker
+// count.
 func ReplicateErr(app *beo.AppBEO, arch *beo.ArchBEO, n int, opts ...Option) ([]*Result, error) {
 	if err := validateTrials(n); err != nil {
 		return nil, err

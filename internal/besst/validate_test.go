@@ -16,6 +16,8 @@ import (
 func TestReplicateErrTypedValidation(t *testing.T) {
 	app := lulesh.App(10, 8, 5, lulesh.ScenarioNoFT, cfg)
 	arch := constArch(1, 1, 1)
+	noRanks, negRanks := *app, *app
+	noRanks.Ranks, negRanks.Ranks = 0, -4
 
 	cases := []struct {
 		name  string
@@ -40,6 +42,26 @@ func TestReplicateErrTypedValidation(t *testing.T) {
 		}},
 		{"nil app compile", "app", func() error {
 			_, err := CompileErr(nil, arch)
+			return err
+		}},
+		{"zero ranks compile", "app", func() error {
+			_, err := CompileErr(&noRanks, arch)
+			return err
+		}},
+		{"zero ranks DES", "app", func() error {
+			_, err := ReplicateErr(&noRanks, arch, 4, WithMode(DES))
+			return err
+		}},
+		{"zero ranks Direct", "app", func() error {
+			_, err := ReplicateErr(&noRanks, arch, 4, WithMode(Direct))
+			return err
+		}},
+		{"negative ranks DES", "app", func() error {
+			_, err := ReplicateErr(&negRanks, arch, 4, WithMode(DES))
+			return err
+		}},
+		{"negative ranks Direct", "app", func() error {
+			_, err := ReplicateErr(&negRanks, arch, 4, WithMode(Direct))
 			return err
 		}},
 		{"absurd workers", "workers", func() error {

@@ -26,15 +26,16 @@ package des
 // and the heap top, after that flush.
 //
 // That shape fits the traffic of a compiled BE-SST program. A
-// coordinator releases every rank at one timestamp, and each release's
-// follow-on arrival lands at the same time again, so those events
-// never leave the tail. The compute steps the releases start end at
+// coordinator releases every rank at one timestamp, so the releases
+// are one run that never leaves the tail. Each rank then sends its
+// arrival at the next barrier to land when its compute ends, at
 // distinct times: all but the last-scheduled one collect in pend and
-// drain as one batch, sorted in linear expected time. The last one
-// stays in the tail until the first arrival at the barrier pushes it
-// to pend, while that batch is still draining, so unless it ends the
-// burst it goes through the heap: about one heap run per barrier
-// interval.
+// drain as one batch, sorted in linear expected time. Nothing is
+// pushed until the last arrival, so the last-scheduled one is popped
+// from the tail. A compute that does not end at a barrier ends in a
+// self event instead; when the last-scheduled one is pushed to pend by
+// the first arrival while the batch is still draining, it goes through
+// the heap unless it ends the burst.
 //
 // Runs live contiguously in one event log. A push that would grow a
 // full log first compacts it (copying the live runs to the front of a
@@ -218,8 +219,7 @@ func (q *eventQueue) flush() {
 func (q *eventQueue) sortPend() {
 	p := q.pend
 	n := len(p)
-	q.batch, q.bi = q.batch[:0], 0
-	q.batch = append(q.batch, p...)
+	q.batch, q.bi = append(q.batch[:0], p...), 0
 	lo, hi := p[q.pmin].t, p[0].t
 	for i := range p {
 		hi = max(hi, p[i].t)

@@ -296,16 +296,23 @@ func FuzzEventQueue(f *testing.F) {
 
 // barrierRank is one rank of TestBarrierBurstStraggler: a release
 // (kind 0) starts a compute step of pseudo-random length, and the
-// step's end (kind 1) is reported to the barrier.
+// step's end (kind 1) is reported to the barrier. With direct set, the
+// rank sends its report to arrive when the step ends instead, as a DES
+// rank does when its compute ends at a sync.
 type barrierRank struct {
 	toBarrier LinkID
 	x         uint64 // LCG state
+	direct    bool
 }
 
 func (r *barrierRank) HandleEvent(ctx *Context, ev Event) {
 	if ev.Payload.Kind == 0 {
 		r.x = r.x*6364136223846793005 + 1442695040888963407
-		ctx.ScheduleSelf(Time(1+r.x>>54), Payload{Kind: 1})
+		if r.direct {
+			ctx.Send(r.toBarrier, Time(1+r.x>>54), Payload{})
+		} else {
+			ctx.ScheduleSelf(Time(1+r.x>>54), Payload{Kind: 1})
+		}
 		return
 	}
 	ctx.Send(r.toBarrier, 0, Payload{})
@@ -333,40 +340,49 @@ func (b *rankBarrier) HandleEvent(ctx *Context, _ Event) {
 
 // TestBarrierBurstStraggler pins which tiers a barrier-synchronised
 // compute burst (the DES traffic of a LULESH step) takes. All compute
-// ends but the last-scheduled one drain as one sorted batch. The
-// last-scheduled one stays in the tail until the first arrival at the
-// barrier pushes it to pend; the batch is still draining by then, so
-// unless it is the burst's latest it goes through the heap, as the
-// only run there.
+// ends but the last-scheduled one drain as one sorted batch. When each
+// compute ends in a self event, the last-scheduled one stays in the
+// tail until the first arrival at the barrier pushes it to pend; the
+// batch is still draining by then, so unless it is the burst's latest
+// it goes through the heap, as the only run there. When each rank's
+// arrival is sent to land at its compute end, nothing is pushed until
+// the last arrival, so the last-scheduled one is popped from the tail
+// and the heap stays empty.
 func TestBarrierBurstStraggler(t *testing.T) {
 	const ranks, rounds = 64, 50
-	e := NewEngine()
-	bar := &rankBarrier{rounds: rounds}
-	barID := e.Register(bar)
-	rs := make([]barrierRank, ranks)
-	for i := range rs {
-		rs[i].x = uint64(i) * 0x9e3779b97f4a7c15
-		id := e.Register(&rs[i])
-		rs[i].toBarrier = e.Connect(id, barID, 0)
-		bar.release = append(bar.release, e.Connect(barID, id, 0))
-		e.ScheduleAt(0, id, Payload{})
-	}
-	q := &e.queue
-	heapRuns, maxHeap, maxBatch := 0, 0, 0
-	for e.Pending() > 0 {
-		q.peek() // flushes pend as pop would
-		if len(q.runs) > 0 {
-			heapRuns++
+	for _, direct := range []bool{false, true} {
+		e := NewEngine()
+		bar := &rankBarrier{rounds: rounds}
+		barID := e.Register(bar)
+		rs := make([]barrierRank, ranks)
+		for i := range rs {
+			rs[i].x = uint64(i) * 0x9e3779b97f4a7c15
+			rs[i].direct = direct
+			id := e.Register(&rs[i])
+			rs[i].toBarrier = e.Connect(id, barID, 0)
+			bar.release = append(bar.release, e.Connect(barID, id, 0))
+			e.ScheduleAt(0, id, Payload{})
 		}
-		maxHeap = max(maxHeap, len(q.runs))
-		maxBatch = max(maxBatch, len(q.batch)-q.bi)
-		e.Step()
-	}
-	if maxBatch < ranks/2 {
-		t.Errorf("largest live batch %d runs, want a compute burst's (about %d)", maxBatch, ranks-1)
-	}
-	if maxHeap != 1 || heapRuns < rounds/2 || heapRuns > rounds {
-		t.Errorf("heap held up to %d runs over %d deliveries in %d rounds; want one straggler run in most rounds", maxHeap, heapRuns, rounds)
+		q := &e.queue
+		heapRuns, maxHeap, maxBatch := 0, 0, 0
+		for e.Pending() > 0 {
+			q.peek() // flushes pend as pop would
+			if len(q.runs) > 0 {
+				heapRuns++
+			}
+			maxHeap = max(maxHeap, len(q.runs))
+			maxBatch = max(maxBatch, len(q.batch)-q.bi)
+			e.Step()
+		}
+		if maxBatch < ranks/2 {
+			t.Errorf("direct=%v: largest live batch %d runs, want a compute burst's (about %d)", direct, maxBatch, ranks-1)
+		}
+		switch {
+		case direct && maxHeap != 0:
+			t.Errorf("direct arrivals: heap held up to %d runs over %d deliveries; want none", maxHeap, heapRuns)
+		case !direct && (maxHeap != 1 || heapRuns < rounds/2 || heapRuns > rounds):
+			t.Errorf("heap held up to %d runs over %d deliveries in %d rounds; want one straggler run in most rounds", maxHeap, heapRuns, rounds)
+		}
 	}
 }
 

@@ -337,7 +337,13 @@ func (w *hotWalker) appendCall(n *ast.CallExpr) {
 	if len(n.Args) == 0 {
 		return
 	}
-	switch base := ast.Unparen(n.Args[0]).(type) {
+	base := ast.Unparen(n.Args[0])
+	if sl, ok := base.(*ast.SliceExpr); ok && !sl.Slice3 {
+		// A two-index reslice keeps its buffer's capacity: judge the
+		// buffer.
+		base = ast.Unparen(sl.X)
+	}
+	switch base := base.(type) {
 	case *ast.SelectorExpr, *ast.IndexExpr:
 		// Field- or element-backed buffer: the reuse discipline
 		// (capacity survives Reset) is the capacity evidence.

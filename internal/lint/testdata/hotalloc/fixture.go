@@ -77,3 +77,18 @@ var notAFunc int
 
 //lint:hotpath on the wrong line with arguments
 func misuse() {}
+
+// reuse appends into two-index reslices of the field buffer and of a
+// capacity-evidenced local (clean), of a parameter with no capacity
+// evidence, and into a full slice expression capped at zero.
+//
+//lint:hotpath
+func (r *ring) reuse(v int, in []int) []int {
+	r.buf = append(r.buf[:0], v)
+	scratch := r.buf[1:]
+	scratch = append(scratch[:0], v)
+	in = append(in[:0], v)
+	r.buf = append(r.buf[:0:0], v)
+	_ = scratch
+	return in
+}
