@@ -95,7 +95,7 @@ trace-fixtures:
 # panic/delay injection through the retry and quarantine machinery, and
 # the SIGKILL-mid-campaign resume test asserting byte-identical output.
 chaos:
-	$(GO) test -race ./internal/resilience -run 'Chaos|KillAndResume|Resume|Retries|Watchdog' -v
+	$(GO) test -race ./internal/resilience -run 'Chaos|KillAndResume|Resume|Retries' -v
 
 # fuzz runs the short corruption fuzzers: the checkpoint-journal reader
 # (torn tails, garbage lines), the design-point memo journal (every

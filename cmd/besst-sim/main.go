@@ -176,7 +176,8 @@ func main() {
 	machine := em.M
 	arch := beo.NewArchBEO(machine, cfg.NodeSize)
 	workflow.BindLulesh(arch, models)
-	if err := arch.Validate(app); err != nil {
+	cr, err := besst.CompileErr(app, arch)
+	if err != nil {
 		fatalf("%v", err)
 	}
 
@@ -187,10 +188,6 @@ func main() {
 	// Without -ckpt/-resume/-chaos the campaign keeps no journal and
 	// injects nothing, so its results equal a plain besst.Replicate; a
 	// panicking trial is quarantined, not fatal.
-	cr, err := besst.CompileErr(app, arch)
-	if err != nil {
-		fatalf("%v", err)
-	}
 	hash := resilience.ConfigHash("besst-sim", app.Name, machine.Name, *mode, *mc,
 		*epr, *ranks, *steps, *scenario, *period, common.Seed)
 	all, rep, err := resilience.ReplicateResumable(cr, *mc, ses.Campaign(hash), opts...)

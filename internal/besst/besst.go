@@ -60,10 +60,10 @@ type Result struct {
 	CkptTimes []float64
 	// Events is the number of discrete events of the DES protocol (0
 	// in Direct mode): per rank, one start event, one per compute step,
-	// and one arrival plus one release per Comm or Ckpt. The engine
+	// and one arrival plus one release per Comm or Ckpt. It depends on
+	// the program alone and is counted at compile time; the engine
 	// delivers fewer (it fuses back-to-back syncs and sends an arrival
-	// at its compute's end, see des.go) and counts the ones it skips
-	// back in, so this stays the count of the modeled protocol.
+	// at its compute's end, see des.go).
 	Events uint64
 	// Breakdown decomposes rank 0's wall time by activity — the
 	// overhead decomposition DSE reports need.
@@ -323,6 +323,10 @@ type CompiledRun struct {
 	depth int    // frames a walk needs: 1 + the Loop/Periodic nesting
 	steps int    // top-level loop iterations (step ends) per run
 	ckpts int    // dynamic ckCkpt instances per run
+	// events is a DES run's Result.Events: per rank, one start event,
+	// one per dynamic compute, and an arrival and a release per
+	// dynamic Comm or Ckpt.
+	events uint64
 
 	// desPool recycles fully wired DES simulations across trials: reset
 	// rewinds a desSim before every run to match a fresh build byte for
@@ -343,7 +347,7 @@ func Compile(app *beo.AppBEO, arch *beo.ArchBEO) *CompiledRun {
 }
 
 // newCompiledRun builds the run object from validated inputs, counting
-// the result series in one dry walk.
+// the result series and the DES protocol's events in one dry walk.
 func newCompiledRun(app *beo.AppBEO, arch *beo.ArchBEO) *CompiledRun {
 	nodes, depth := shape(app.Program)
 	cr := &CompiledRun{app: app, arch: arch, depth: depth + 1}
@@ -351,14 +355,21 @@ func newCompiledRun(app *beo.AppBEO, arch *beo.ArchBEO) *CompiledRun {
 	cr.root = cinstr{kind: ckLoop, body: cr.compile(app.Program, true, arch.Machine.Network(), &slab), count: 1}
 	var frames [walkerFrames]frame
 	w := cr.walker(frames[:0])
+	var comps, syncs uint64
 	for c := w.next(); c != nil; c = w.next() {
 		switch c.kind {
 		case ckLoop:
 			cr.steps++
+		case ckComp:
+			comps++
+		case ckComm:
+			syncs++
 		case ckCkpt:
 			cr.ckpts++
+			syncs++
 		}
 	}
+	cr.events = uint64(app.Ranks) * (1 + comps + 2*syncs)
 	return cr
 }
 

@@ -30,8 +30,8 @@ import (
 // A rank whose compute ends at a sync sends its arrival with the
 // compute time as extra delay instead of waking itself first. Both
 // keep every result byte (DESIGN.md); Result.Events still counts the
-// events of the unfused protocol. A model of neighbour-only syncs
-// would have to fuse only runs of global ones.
+// events of the unfused protocol, from the compiled program. A model
+// of neighbour-only syncs would have to fuse only runs of global ones.
 
 // Payload kinds on des.Payload.Kind. The protocol is the kind alone,
 // so the steady-state event path never boxes a payload.
@@ -93,10 +93,6 @@ type desSim struct {
 	w      walker     // the simulation's one walk of the program
 	seg    []*cinstr  // the walk's next sync-free stretch and its sync run
 	carry  *cinstr    // the instruction fill read past seg's sync run
-	// elided counts the protocol's events the fused engine skips: the
-	// arrivals and releases inside sync runs, and the self events of
-	// computes that end at a sync.
-	elided uint64
 }
 
 // newDesSim builds and wires a simulation for cr. All per-trial state
@@ -144,7 +140,6 @@ func (s *desSim) reset(cfg RunConfig, stream int) {
 	s.w = s.cr.walker(s.w.stack)
 	s.carry = s.w.next()
 	s.fill()
-	s.elided = 0
 	for i := range s.ends {
 		s.ends[i] = 0
 	}
@@ -198,7 +193,7 @@ func (s *desSim) run(cfg RunConfig, stream int) *Result {
 	for _, id := range s.ranks {
 		s.eng.ScheduleAt(0, id, des.Payload{Kind: pkAdvance})
 	}
-	s.eng.Run(0)
+	s.eng.Run()
 	if cfg.Collector != nil {
 		cfg.Collector.EngineTotals(s.eng.Processed(), s.eng.PeakQueueDepth())
 	}
@@ -211,7 +206,7 @@ func (s *desSim) run(cfg RunConfig, stream int) *Result {
 	}
 	res := s.res
 	res.Makespan = max.Seconds()
-	res.Events = s.eng.Processed() + s.elided
+	res.Events = s.cr.events
 	s.res = nil
 	return res
 }
@@ -258,7 +253,6 @@ func (rc *rankComp) HandleEvent(ctx *des.Context, ev des.Event) {
 				// self event in between.
 				rc.waitSince = ctx.Now() + d
 				ctx.Send(rc.toCoord, d, des.Payload{Kind: pkArrive})
-				s.elided++
 				return
 			}
 			ctx.ScheduleSelf(d, des.Payload{Kind: pkAdvance})
@@ -316,7 +310,6 @@ func (cc *coordComp) HandleEvent(ctx *des.Context, ev des.Event) {
 		at += des.FromSeconds(cost)
 		cc.done = append(cc.done, doneSync{at: at, ckpt: c.kind == ckCkpt})
 	}
-	s.elided += 2 * uint64(s.cr.app.Ranks) * uint64(len(cc.done)-1)
 	s.fill()
 	extra := at - ctx.Now()
 	release := des.Payload{Kind: pkRelease}

@@ -40,7 +40,7 @@ func TestSequentialDispatchZeroAllocs(t *testing.T) {
 		e.Reset()
 		n = events
 		e.ScheduleAt(0, a, Payload{A: events})
-		e.Run(0)
+		e.Run()
 	}
 	// AllocsPerRun invokes run once as warm-up before measuring, which
 	// is when the queue's backing array grows to steady-state capacity.

@@ -203,20 +203,14 @@ func (e *Engine) Reset() {
 	e.peakQueue = 0
 }
 
-// Run processes events in timestamp order until the queue is empty or
-// the horizon is passed (horizon <= 0 means no horizon). It returns the
-// final simulated time.
+// Run processes events in timestamp order until the queue is empty and
+// returns the final simulated time.
 //
 //lint:hotpath
-func (e *Engine) Run(horizon Time) Time {
+func (e *Engine) Run() Time {
 	e.running = true
 	defer func() { e.running = false }()
 	for e.queue.len() > 0 {
-		if horizon > 0 && e.queue.peek().Time > horizon {
-			// Leave the event queued; the clock stops at the horizon.
-			e.now = horizon
-			return e.now
-		}
 		ev := e.queue.pop()
 		if ev.Time < e.now {
 			panic("des: event queue went backwards")

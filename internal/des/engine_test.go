@@ -79,7 +79,7 @@ func TestSequentialOrdering(t *testing.T) {
 	e.ScheduleAt(30, id, Payload{A: 3})
 	e.ScheduleAt(10, id, Payload{A: 1})
 	e.ScheduleAt(20, id, Payload{A: 2})
-	e.Run(0)
+	e.Run()
 	if len(r.payloads) != 3 {
 		t.Fatalf("got %d events", len(r.payloads))
 	}
@@ -100,7 +100,7 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		e.ScheduleAt(5, id, Payload{A: int64(i)})
 	}
-	e.Run(0)
+	e.Run()
 	for i := 0; i < 10; i++ {
 		if r.payloads[i].A != int64(i) {
 			t.Fatalf("tie-break not FIFO: %v", r.payloads)
@@ -116,27 +116,9 @@ func TestLinkLatencyDelivery(t *testing.T) {
 	rid := e.Register(r)
 	p.out = e.Connect(pid, rid, 50)
 	e.ScheduleAt(100, pid, Payload{})
-	e.Run(0)
+	e.Run()
 	if len(r.times) != 1 || r.times[0] != 150 {
 		t.Fatalf("delivery times %v, want [150]", r.times)
-	}
-}
-
-func TestHorizonStopsClock(t *testing.T) {
-	e := NewEngine()
-	r := &recorder{}
-	id := e.Register(r)
-	e.ScheduleAt(10, id, Payload{})
-	e.ScheduleAt(1000, id, Payload{})
-	end := e.Run(100)
-	if end != 100 {
-		t.Fatalf("end = %v, want 100", end)
-	}
-	if len(r.times) != 1 {
-		t.Fatalf("processed %d events, want 1", len(r.times))
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", e.Pending())
 	}
 }
 
@@ -148,7 +130,7 @@ func TestSelfScheduleChain(t *testing.T) {
 	rid := e.Register(r)
 	p.out = e.Connect(pid, rid, 1)
 	e.ScheduleAt(0, pid, Payload{})
-	e.Run(0)
+	e.Run()
 	if len(r.times) != 5 {
 		t.Fatalf("got %d pings, want 5", len(r.times))
 	}
@@ -169,7 +151,7 @@ func TestSendOnMissingPortPanics(t *testing.T) {
 			t.Fatal("expected panic for missing link")
 		}
 	}()
-	e.Run(0)
+	e.Run()
 }
 
 // TestSendOnForeignLinkPanics: a component may send only on links it
@@ -200,7 +182,7 @@ func TestSendOnForeignLinkPanics(t *testing.T) {
 					t.Fatalf("panic %v does not name the link", r)
 				}
 			}()
-			e.Run(0)
+			e.Run()
 		})
 	}
 }
@@ -209,7 +191,7 @@ func TestSchedulePastPanics(t *testing.T) {
 	e := NewEngine()
 	id := e.Register(&recorder{})
 	e.ScheduleAt(10, id, Payload{})
-	e.Run(0)
+	e.Run()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for past scheduling")
@@ -227,7 +209,7 @@ func TestBidirectionalLink(t *testing.T) {
 	e.Connect(aid, bid, 7)
 	b.out = e.Connect(bid, aid, 7)
 	e.ScheduleAt(0, bid, Payload{})
-	e.Run(0)
+	e.Run()
 	if len(a.times) != 1 || a.times[0] != 7 {
 		t.Fatalf("bidirectional delivery failed: %v", a.times)
 	}
@@ -280,7 +262,7 @@ func TestRegisterDuringRunPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	e.Run(0)
+	e.Run()
 }
 
 type registrar struct{ eng *Engine }

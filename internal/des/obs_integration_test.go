@@ -36,7 +36,7 @@ func TestEngineObservabilityFixture(t *testing.T) {
 	e.SetTracer(buf, 7)
 	buildRing(e, 8, 100)
 	e.ScheduleAt(0, 0, Payload{A: 40})
-	e.Run(0)
+	e.Run()
 	col.EngineTotals(e.Processed(), e.PeakQueueDepth())
 
 	if buf.Len() == 0 {
@@ -126,7 +126,7 @@ func TestTracerDoesNotPerturbRun(t *testing.T) {
 		}
 		comps := buildRing(e, 8, 100)
 		e.ScheduleAt(0, 0, Payload{A: 40})
-		end := e.Run(0)
+		end := e.Run()
 		return comps, end, e.Processed()
 	}
 

@@ -156,10 +156,10 @@ func (c *scriptComp) HandleEvent(ctx *Context, ev Event) {
 // runQueueScript drives an engine through the operations data encodes
 // — equal-time bursts, pushes at now (from outside and from handlers),
 // interleaved times, compute bursts at distinct times, pushes near
-// math.MaxInt64, single steps, Run(horizon) stops, peeks and Resets
-// with events still queued — and holds every delivery, peek and pending
-// count to a sorted reference. It drains the engine at the end. Times
-// relative to now saturate at math.MaxInt64.
+// math.MaxInt64, single steps, peeks and Resets with events still
+// queued — and holds every delivery, peek and pending count to a
+// sorted reference. It drains the engine at the end. Times relative to
+// now saturate at math.MaxInt64.
 func runQueueScript(data []byte) error {
 	e := NewEngine()
 	ref := &refQueue{}
@@ -179,7 +179,7 @@ func runQueueScript(data []byte) error {
 	}
 	after := func(d int64) Time { return e.Now() + min(Time(d), math.MaxInt64-e.Now()) }
 	for pos < len(data) && c.err == nil {
-		switch next() % 9 {
+		switch next() % 8 {
 		case 0: // equal-time burst, possibly at now
 			t := after(next() % 4)
 			for n := next()%16 + 1; n > 0; n-- {
@@ -191,12 +191,8 @@ func runQueueScript(data []byte) error {
 			schedule(e.Now(), Payload{A: next() % 8, B: next() % 3})
 		case 3:
 			e.Step()
-		case 4:
-			horizon := after(next()%16 + 1)
-			e.Run(horizon)
-			if c.err == nil && len(ref.keys) > 0 && ref.keys[0].t <= horizon {
-				return fmt.Errorf("Run(%d) stopped with (%d, %d) still due", horizon, ref.keys[0].t, ref.keys[0].seq)
-			}
+		case 4: // a push near math.MaxInt64
+			schedule(max(e.Now(), math.MaxInt64-Time(next()%4)), Payload{})
 		case 5:
 			if e.Pending() > 0 {
 				if got, want := (qkey{e.queue.peek().Time, e.queue.peek().seq}), ref.keys[0]; got != want {
@@ -212,14 +208,12 @@ func runQueueScript(data []byte) error {
 			for i := int64(0); i < n; i++ {
 				schedule(after(1+i*stride%67), Payload{A: follow})
 			}
-		case 8: // a push near math.MaxInt64
-			schedule(max(e.Now(), math.MaxInt64-Time(next()%4)), Payload{})
 		}
 		if c.err == nil && e.Pending() != len(ref.keys) {
 			return fmt.Errorf("%d pending, reference holds %d", e.Pending(), len(ref.keys))
 		}
 	}
-	e.Run(0)
+	e.Run()
 	if c.err != nil {
 		return c.err
 	}
@@ -250,11 +244,11 @@ var batchScripts = []struct {
 	// pend holds two runs at 10.
 	{"lo == hi", []byte{1, 10, 1, 5, 3, 1, 5, 1, 0, 3, 5}},
 	// pend spans [3, math.MaxInt64], then three runs near the top.
-	{"span near MaxInt64", []byte{1, 3, 8, 0, 1, 5, 3, 8, 1, 8, 2, 8, 3, 1, 0, 3, 5}},
+	{"span near MaxInt64", []byte{1, 3, 4, 0, 1, 5, 3, 4, 1, 4, 2, 4, 3, 1, 0, 3, 5}},
 	// A 64-run burst, a far run and a push at now that moves the far
 	// run to pend: every near run shares bucket 0, so the insertion
 	// pass sorts them all.
-	{"burst and a far run", []byte{7, 63, 7, 1, 8, 0, 1, 0, 3, 3, 3, 5, 7, 20, 3, 0, 3, 3}},
+	{"burst and a far run", []byte{7, 63, 7, 1, 4, 0, 1, 0, 3, 3, 3, 5, 7, 20, 3, 0, 3, 3}},
 }
 
 // TestEventQueueMatchesReference runs the batch scripts and seeded
@@ -282,8 +276,8 @@ func TestEventQueueMatchesReference(t *testing.T) {
 // FuzzEventQueue holds the queue to the sorted reference over arbitrary
 // operation scripts.
 func FuzzEventQueue(f *testing.F) {
-	f.Add([]byte{0, 3, 9, 3, 3, 1, 7, 4, 5, 6, 2, 5, 0, 4, 3})
-	f.Add([]byte{2, 7, 0, 4, 2, 1, 2, 5, 5, 0, 0, 15, 4, 15, 6, 0, 1, 2})
+	f.Add([]byte{0, 3, 9, 3, 3, 1, 7, 3, 6, 2, 5, 0, 3})
+	f.Add([]byte{2, 7, 0, 3, 1, 2, 5, 5, 0, 0, 15, 3, 6, 0, 1, 2})
 	for _, s := range batchScripts {
 		f.Add(s.data)
 	}
@@ -526,7 +520,7 @@ func TestDispatchAcrossCompaction(t *testing.T) {
 	first := c.trigger(5, 0)
 	e.ScheduleAt(first.Time, first.Dst, first.Payload)
 	ref.push(first.Time)
-	e.Run(0)
+	e.Run()
 	if c.err != nil {
 		t.Fatal(c.err)
 	}

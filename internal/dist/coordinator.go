@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"besst/internal/par"
+	"besst/internal/resilience"
 	"besst/internal/serve"
 	"besst/internal/serveclient"
 )
@@ -36,17 +37,21 @@ type Config struct {
 	// (<= 0: 2m). A straggler past the deadline counts as worker loss:
 	// the attempt is abandoned and the shard reassigned.
 	ShardTimeout time.Duration
-	// Heartbeat is the worker health-probe period (<= 0: 1s; probing
-	// also revives workers previously marked down).
-	Heartbeat time.Duration
-	// MaxAttempts bounds dispatch attempts per shard replica, first
-	// attempt included (<= 0: 4).
-	MaxAttempts int
-	// BaseBackoff is the delay before the second attempt, doubling per
-	// attempt up to MaxBackoff (defaults 50ms and 2s).
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
 }
+
+// The coordinator's fault-handling timings.
+const (
+	// heartbeat is the worker health-probe period; probing also
+	// revives workers previously marked down.
+	heartbeat = time.Second
+	// maxAttempts bounds dispatch attempts per shard replica, first
+	// attempt included.
+	maxAttempts = 4
+	// shardBaseBackoff is the delay before a replica's second attempt,
+	// doubling per attempt up to shardMaxBackoff.
+	shardBaseBackoff = 50 * time.Millisecond
+	shardMaxBackoff  = 2 * time.Second
+)
 
 // Coordinator runs campaigns across a fixed fleet of worker processes,
 // tolerating worker loss through retry, reassignment, and functional
@@ -73,18 +78,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	}
 	if cfg.ShardTimeout <= 0 {
 		cfg.ShardTimeout = 2 * time.Minute
-	}
-	if cfg.Heartbeat <= 0 {
-		cfg.Heartbeat = time.Second
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 4
-	}
-	if cfg.BaseBackoff <= 0 {
-		cfg.BaseBackoff = 50 * time.Millisecond
-	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = 2 * time.Second
 	}
 	c := &Coordinator{
 		cfg:      cfg,
@@ -285,13 +278,13 @@ func (c *Coordinator) runShard(ctx context.Context, s int, r par.Range, p *serve
 // and reassign to a survivor.
 func (c *Coordinator) runReplica(ctx context.Context, s, ri int, r par.Range, p *serve.Plan, col serve.BackendCollector, acct *runAccounting) ([]json.RawMessage, error) {
 	var lastErr error
-	for attempt := 1; attempt <= c.cfg.MaxAttempts; attempt++ {
+	for attempt := 1; attempt <= maxAttempts; attempt++ {
 		if attempt > 1 {
 			col.ShardRetry(s, attempt)
 			acct.mu.Lock()
 			acct.retries++
 			acct.mu.Unlock()
-			if err := c.backoff(ctx, attempt); err != nil {
+			if err := backoff(ctx, attempt); err != nil {
 				return nil, err
 			}
 		}
@@ -374,13 +367,10 @@ func isFatal(err error) bool {
 	return false
 }
 
-// backoff sleeps the exponential delay for attempt, aborting early on
-// cancellation.
-func (c *Coordinator) backoff(ctx context.Context, attempt int) error {
-	d := c.cfg.BaseBackoff << (attempt - 2) // attempt 2 sleeps BaseBackoff
-	if d > c.cfg.MaxBackoff || d <= 0 {
-		d = c.cfg.MaxBackoff
-	}
+// backoff sleeps the exponential delay before attempt (attempt 2
+// sleeps shardBaseBackoff), aborting early on cancellation.
+func backoff(ctx context.Context, attempt int) error {
+	d := resilience.Backoff(shardBaseBackoff, shardMaxBackoff, attempt-1)
 	select {
 	case <-ctx.Done():
 		return ctx.Err()
@@ -424,7 +414,7 @@ func (c *Coordinator) markDown(w int, col serve.BackendCollector) {
 // assignment rotation; a live one that stops answering is marked down
 // so stragglers stop receiving new shards. Exits when ctx is done.
 func (c *Coordinator) heartbeatLoop(ctx context.Context, col serve.BackendCollector) {
-	tick := time.NewTicker(c.cfg.Heartbeat)
+	tick := time.NewTicker(heartbeat)
 	defer tick.Stop()
 	for {
 		select {
@@ -433,7 +423,7 @@ func (c *Coordinator) heartbeatLoop(ctx context.Context, col serve.BackendCollec
 		case <-tick.C:
 		}
 		for i, cl := range c.clients {
-			probeCtx, done := context.WithTimeout(ctx, c.cfg.Heartbeat)
+			probeCtx, done := context.WithTimeout(ctx, heartbeat)
 			_, err := cl.Healthz(probeCtx)
 			done()
 			if ctx.Err() != nil {

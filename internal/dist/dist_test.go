@@ -191,8 +191,6 @@ func TestStragglerTimeoutReassigned(t *testing.T) {
 		Shards:       1,
 		Replicas:     1,
 		ShardTimeout: 100 * time.Millisecond,
-		BaseBackoff:  time.Millisecond,
-		MaxBackoff:   2 * time.Millisecond,
 	})
 	payloads, rep, err := c.Run([]byte(testRequest), 0, nil, col)
 	if err != nil {
@@ -250,6 +248,45 @@ func TestWorkerAuth(t *testing.T) {
 	ok := newCoordinator(t, Config{Workers: []string{url}, Shards: 2, Replicas: 1, AuthToken: "s3cret"})
 	if _, _, err := ok.Run([]byte(testRequest), 0, nil, nil); err != nil {
 		t.Fatalf("authorized run: %v", err)
+	}
+}
+
+// TestWorkerBoundsShardBody posts shard bodies to a worker: one padded
+// to exactly maxShardBytes runs, one byte more answers 400 without
+// reaching the executor.
+func TestWorkerBoundsShardBody(t *testing.T) {
+	var calls int
+	var mu sync.Mutex
+	url := startWorker(t, WorkerConfig{Executor: execFunc(func(_ string, _ []byte, lo, hi int) ([]json.RawMessage, error) {
+		mu.Lock()
+		calls++
+		mu.Unlock()
+		return honestPayloads(lo, hi), nil
+	})})
+	req, err := json.Marshal(ShardRequest{SchemaVersion: ShardSchemaVersion, CampaignID: "c", Request: json.RawMessage(`{}`), Lo: 0, Hi: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(size int) int {
+		t.Helper()
+		body := append(req, bytes.Repeat([]byte(" "), size-len(req))...)
+		resp, err := http.Post(url+"/v1/shards", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("post %d bytes: %v", size, err)
+		}
+		_ = resp.Body.Close()
+		return resp.StatusCode
+	}
+	if got := post(maxShardBytes); got != http.StatusOK {
+		t.Fatalf("%d-byte body: status %d, want 200", maxShardBytes, got)
+	}
+	if got := post(maxShardBytes + 1); got != http.StatusBadRequest {
+		t.Fatalf("%d-byte body: status %d, want 400", maxShardBytes+1, got)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if calls != 1 {
+		t.Fatalf("executor ran %d times, want 1 (the bounded body only)", calls)
 	}
 }
 
@@ -318,9 +355,6 @@ func (f *gateFixture) run(t *testing.T, workers []string, shards, replicas int) 
 		Replicas:     replicas,
 		AuthToken:    gateToken,
 		ShardTimeout: time.Minute,
-		Heartbeat:    150 * time.Millisecond,
-		MaxAttempts:  6,
-		BaseBackoff:  20 * time.Millisecond,
 	})
 	doc, rep, err := RunRequest(c, f.request, nil, nil)
 	if err != nil {

@@ -31,18 +31,24 @@ type WorkerConfig struct {
 	Executor Executor
 }
 
+// maxShardBytes bounds a POST /v1/shards body: one canonical request,
+// which besst-serve admits at up to serve.MaxRequestBytes, plus room
+// for the envelope's own fields.
+const maxShardBytes = serve.MaxRequestBytes + 4<<10
+
 // WorkerHandler is the worker process's HTTP surface:
 //
 //	POST /v1/shards      execute a ShardRequest, answer a ShardResult
 //	GET  /v1/healthz     liveness (the coordinator's heartbeat target)
 //	GET  /v1/statz       compile-cache counters, when the executor has them
 //
-// Bad requests answer 400 (the coordinator will not retry them);
-// execution failures answer 500 (it will, on a survivor).
+// Bad requests, an oversized body among them, answer 400 (the
+// coordinator will not retry them); execution failures answer 500 (it
+// will, on a survivor).
 func WorkerHandler(cfg WorkerConfig) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/shards", func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(r.Body)
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxShardBytes))
 		if err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Sprintf("read body: %v", err))
 			return

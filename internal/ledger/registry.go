@@ -144,7 +144,7 @@ func benchDispatch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	e.ScheduleAt(0, ids[0], des.Payload{A: int64(b.N)})
-	e.Run(0)
+	e.Run()
 }
 
 // burstRank is one of benchBurst's ranks: a release (kind 0) starts a
@@ -208,7 +208,7 @@ func benchBurst(b *testing.B) {
 	for _, id := range ids {
 		e.ScheduleAt(0, id, des.Payload{})
 	}
-	e.Run(0)
+	e.Run()
 }
 
 // caseStudy develops the Quartz LULESH models once for the timing

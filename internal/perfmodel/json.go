@@ -3,6 +3,7 @@ package perfmodel
 import (
 	"encoding/json"
 	"fmt"
+	"sort"
 )
 
 // jsonTable is the serialized form of a lookup table: each point keeps
@@ -29,20 +30,12 @@ func (t *Table) MarshalJSON() ([]byte, error) {
 		keys = append(keys, k)
 		byKey[k] = pt
 	}
-	sortStrings(keys)
+	sort.Strings(keys)
 	for _, k := range keys {
 		pt := byKey[k]
 		j.Points = append(j.Points, jsonPoint{Coord: pt.coord, Samples: pt.samples})
 	}
 	return json.Marshal(j)
-}
-
-func sortStrings(xs []string) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }
 
 // UnmarshalJSON implements json.Unmarshaler.

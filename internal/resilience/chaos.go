@@ -20,11 +20,9 @@ type ChaosConfig struct {
 	// PanicRate is the per-attempt probability of an injected panic
 	// (simulating a crashed worker or a poison trial).
 	PanicRate float64
-	// DelayRate is the per-attempt probability of an injected delay
-	// (simulating a straggling or descheduled worker).
+	// DelayRate is the per-attempt probability of an injected delay of
+	// up to 2ms (simulating a straggling or descheduled worker).
 	DelayRate float64
-	// MaxDelay bounds the injected delay (default 2ms).
-	MaxDelay time.Duration
 	// KillRate is the per-attempt probability of an injected process
 	// kill — the total loss of a worker, dying mid-shard with no
 	// chance to recover, flush, or answer its coordinator. Unlike
@@ -39,6 +37,9 @@ type ChaosConfig struct {
 	// Seed drives the injector's RNG, independent of trial seeds.
 	Seed uint64
 }
+
+// maxChaosDelay bounds an injected delay.
+const maxChaosDelay = 2 * time.Millisecond
 
 // enabled reports whether the config injects anything.
 func (c ChaosConfig) enabled() bool {
@@ -71,9 +72,6 @@ type Injector struct {
 func (c ChaosConfig) NewInjector(n int) *Injector {
 	if !c.enabled() {
 		return nil
-	}
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = 2 * time.Millisecond
 	}
 	if c.Kill == nil {
 		c.Kill = killSelf
@@ -116,7 +114,7 @@ func (in *Injector) Inject(index, attempt int) {
 	rng := stats.NewRNG(attemptSeed(in.seeds[index], attempt))
 	if rng.Float64() < in.cfg.DelayRate {
 		frac := rng.Float64()
-		time.Sleep(time.Duration(frac * float64(in.cfg.MaxDelay)))
+		time.Sleep(time.Duration(frac * float64(maxChaosDelay)))
 	}
 	if rng.Float64() < in.cfg.KillRate {
 		in.cfg.Kill()

@@ -3,7 +3,6 @@ package resilience
 import (
 	"encoding/json"
 	"testing"
-	"time"
 
 	"besst/internal/obs"
 )
@@ -23,12 +22,11 @@ func TestChaosCampaignSurvivesInjection(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		col := obs.NewCollector()
 		camp := Campaign{
-			Workers: workers,
-			Retry:   fastRetry(),
+			Workers:     workers,
+			MaxAttempts: 3,
 			Chaos: ChaosConfig{
 				PanicRate: 0.10,
 				DelayRate: 0.10,
-				MaxDelay:  100 * time.Microsecond,
 				Seed:      777,
 			},
 			Collector: col,
@@ -84,9 +82,9 @@ func TestChaosScheduleDeterministic(t *testing.T) {
 	work := fakeWork(4, n)
 	run := func() ([]int, map[int]int) {
 		camp := Campaign{
-			Workers: 4,
-			Retry:   RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Microsecond, MaxBackoff: time.Microsecond},
-			Chaos:   ChaosConfig{PanicRate: 0.25, Seed: 31},
+			Workers:     4,
+			MaxAttempts: 2,
+			Chaos:       ChaosConfig{PanicRate: 0.25, Seed: 31},
 		}
 		_, rep, err := camp.Run(n, work)
 		if err != nil {
@@ -131,9 +129,9 @@ func TestChaosZeroValueInjectsNothing(t *testing.T) {
 func TestChaosPanicValueIsRecognizable(t *testing.T) {
 	work := func(i int) (json.RawMessage, error) { return json.RawMessage(`1`), nil }
 	camp := Campaign{
-		Workers: 1,
-		Retry:   RetryPolicy{MaxAttempts: 1, BaseBackoff: time.Microsecond},
-		Chaos:   ChaosConfig{PanicRate: 1.0, Seed: 1},
+		Workers:     1,
+		MaxAttempts: 1,
+		Chaos:       ChaosConfig{PanicRate: 1.0, Seed: 1},
 	}
 	_, rep, err := camp.Run(3, work)
 	if err != nil {

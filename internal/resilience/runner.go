@@ -12,47 +12,23 @@ import (
 	"besst/internal/par"
 )
 
-// RetryPolicy bounds how hard the runner fights for one trial before
-// quarantining it.
-type RetryPolicy struct {
-	// MaxAttempts is the total number of tries per trial (default 3).
-	MaxAttempts int
-	// BaseBackoff is the sleep after the first failed attempt; each
-	// further failure doubles it up to MaxBackoff (defaults 5ms/250ms).
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// Watchdog, when positive, bounds one attempt's wall time: an
-	// attempt still running after this long is abandoned (its goroutine
-	// is left to finish in the background — trial work cannot be
-	// preempted) and counted as a failure.
-	Watchdog time.Duration
-}
+// The campaign runner's retry delays: the sleep after a trial's first
+// failed attempt, doubling per further failure up to the cap.
+const (
+	retryBaseBackoff = 5 * time.Millisecond
+	retryMaxBackoff  = 250 * time.Millisecond
+)
 
-// withDefaults fills zero fields.
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 3
-	}
-	if p.BaseBackoff <= 0 {
-		p.BaseBackoff = 5 * time.Millisecond
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = 250 * time.Millisecond
-	}
-	return p
-}
-
-// backoff returns the sleep before retrying after failed attempt k
-// (1-based): BaseBackoff doubled per further failure, capped.
-func (p RetryPolicy) backoff(k int) time.Duration {
-	d := p.BaseBackoff
-	for i := 1; i < k && d < p.MaxBackoff; i++ {
+// Backoff returns the delay before retrying after the given number of
+// consecutive failures (1-based): base doubled per further failure,
+// capped at limit. The campaign runner and the distributed coordinator
+// both space their retries with it.
+func Backoff(base, limit time.Duration, failures int) time.Duration {
+	d := base
+	for i := 1; i < failures && d < limit; i++ {
 		d *= 2
 	}
-	if d > p.MaxBackoff {
-		d = p.MaxBackoff
-	}
-	return d
+	return min(d, limit)
 }
 
 // FaultCollector receives campaign fault-provenance callbacks. The
@@ -70,19 +46,9 @@ type FaultCollector interface {
 	TrialsReplayed(n int)
 }
 
-// WatchdogError marks an attempt abandoned by the per-trial watchdog.
-type WatchdogError struct {
-	Index   int
-	Timeout time.Duration
-}
-
-func (e *WatchdogError) Error() string {
-	return fmt.Sprintf("resilience: trial %d exceeded the %v watchdog", e.Index, e.Timeout)
-}
-
 // TrialError is the quarantine record for one poison trial: every
 // attempt failed; Last is the final attempt's error (*par.PanicError
-// for panics, *WatchdogError for hangs).
+// for panics).
 type TrialError struct {
 	Index    int
 	Attempts int
@@ -120,8 +86,9 @@ type Campaign struct {
 	// Resume replays an existing journal and re-runs only the missing
 	// (and previously failed) indices.
 	Resume bool
-	// Retry is the per-trial isolation policy.
-	Retry RetryPolicy
+	// MaxAttempts is the total number of tries per trial before it is
+	// quarantined (<= 0: 3).
+	MaxAttempts int
 	// Chaos, when enabled, injects deterministic faults into every
 	// attempt (tests and the -chaos flag).
 	Chaos ChaosConfig
@@ -242,14 +209,17 @@ func (c Campaign) RunRange(n, lo, hi int, work WorkFunc) ([]json.RawMessage, Rep
 	}
 
 	inj := c.Chaos.NewInjector(n)
-	retry := c.Retry.withDefaults()
+	maxAttempts := c.MaxAttempts
+	if maxAttempts <= 0 {
+		maxAttempts = 3
+	}
 	var mu sync.Mutex // guards rep across workers
 	errs := par.ForEachIsolated(c.Workers, len(missing), func(k int) error {
 		i := missing[k]
 		if c.cancelled() {
 			return nil // drained: leave the trial unrun for resume
 		}
-		payload, attempts, err := c.runTrial(i, work, inj, retry)
+		payload, attempts, err := c.runTrial(i, work, inj, maxAttempts)
 		mu.Lock()
 		if attempts > 1 {
 			rep.Attempts[i] = attempts
@@ -310,59 +280,36 @@ func (c Campaign) cancelled() bool {
 }
 
 // runTrial is the per-trial fault envelope: chaos injection, recover(),
-// watchdog, bounded retry with exponential backoff. It returns the
-// payload, the number of attempts consumed, and the final error when
-// every attempt failed.
-func (c Campaign) runTrial(i int, work WorkFunc, inj *Injector, retry RetryPolicy) (json.RawMessage, int, error) {
+// bounded retry with exponential backoff. It returns the payload, the
+// number of attempts consumed, and the final error when all of
+// maxAttempts failed.
+func (c Campaign) runTrial(i int, work WorkFunc, inj *Injector, maxAttempts int) (json.RawMessage, int, error) {
 	var last error
-	for attempt := 1; attempt <= retry.MaxAttempts; attempt++ {
-		payload, err := c.runAttempt(i, attempt, work, inj, retry.Watchdog)
+	for attempt := 1; attempt <= maxAttempts; attempt++ {
+		payload, err := runAttempt(i, attempt, work, inj)
 		if err == nil {
 			return payload, attempt, nil
 		}
 		last = err
-		if attempt < retry.MaxAttempts {
+		if attempt < maxAttempts {
 			if c.Collector != nil {
 				c.Collector.TrialRetry(i, attempt)
 			}
-			time.Sleep(retry.backoff(attempt))
+			time.Sleep(Backoff(retryBaseBackoff, retryMaxBackoff, attempt))
 		}
 	}
-	return nil, retry.MaxAttempts, &TrialError{Index: i, Attempts: retry.MaxAttempts, Last: last}
+	return nil, maxAttempts, &TrialError{Index: i, Attempts: maxAttempts, Last: last}
 }
 
-// runAttempt executes one guarded attempt: panics become errors, and a
-// positive watchdog abandons attempts that outlive it.
-func (c Campaign) runAttempt(i, attempt int, work WorkFunc, inj *Injector, watchdog time.Duration) (json.RawMessage, error) {
-	guarded := func() (payload json.RawMessage, err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = &par.PanicError{Index: i, Value: r}
-			}
-		}()
-		inj.Inject(i, attempt)
-		return work(i)
-	}
-	if watchdog <= 0 {
-		return guarded()
-	}
-	type outcome struct {
-		payload json.RawMessage
-		err     error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		p, err := guarded()
-		done <- outcome{p, err}
+// runAttempt executes one guarded attempt: a panic becomes an error.
+func runAttempt(i, attempt int, work WorkFunc, inj *Injector) (payload json.RawMessage, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = &par.PanicError{Index: i, Value: r}
+		}
 	}()
-	timer := time.NewTimer(watchdog)
-	defer timer.Stop()
-	select {
-	case o := <-done:
-		return o.payload, o.err
-	case <-timer.C:
-		return nil, &WatchdogError{Index: i, Timeout: watchdog}
-	}
+	inj.Inject(i, attempt)
+	return work(i)
 }
 
 // ConfigHash fingerprints a campaign configuration: every value that

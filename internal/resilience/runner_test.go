@@ -56,10 +56,6 @@ func (f *flakyWork) callCount(i int) int {
 	return f.calls[i]
 }
 
-func fastRetry() RetryPolicy {
-	return RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Microsecond, MaxBackoff: 10 * time.Microsecond}
-}
-
 // provenanceRecorder implements FaultCollector for assertions.
 type provenanceRecorder struct {
 	mu          sync.Mutex
@@ -104,11 +100,25 @@ func samePayloads(t *testing.T, label string, a, b []json.RawMessage) {
 	}
 }
 
+// TestBackoffDoublesToCap pins the retry delay the campaign runner and
+// the distributed coordinator share: base after the first failure,
+// doubling per further failure, never above the cap.
+func TestBackoffDoublesToCap(t *testing.T) {
+	for _, c := range []struct {
+		failures int
+		want     time.Duration
+	}{{1, 5}, {2, 10}, {3, 20}, {4, 40}, {5, 50}, {100, 50}} {
+		if got := Backoff(5, 50, c.failures); got != c.want {
+			t.Errorf("Backoff(5, 50, %d) = %v, want %v", c.failures, got, c.want)
+		}
+	}
+}
+
 func TestRunRetriesTransientAndQuarantinesPoison(t *testing.T) {
 	const n = 16
 	work := newFlakyWork(fakeWork(7, n), map[int]int{3: 2, 9: -1})
 	rec := newProvenanceRecorder()
-	camp := Campaign{Workers: 4, Retry: fastRetry(), Collector: rec}
+	camp := Campaign{Workers: 4, MaxAttempts: 3, Collector: rec}
 	payloads, rep, err := camp.Run(n, work.work)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -266,38 +276,6 @@ func TestResumeAfterTornAppend(t *testing.T) {
 	}
 }
 
-func TestRunWatchdogQuarantinesHangs(t *testing.T) {
-	const n = 6
-	inner := fakeWork(3, n)
-	work := func(i int) (json.RawMessage, error) {
-		if i == 2 {
-			time.Sleep(time.Second)
-		}
-		return inner(i)
-	}
-	camp := Campaign{
-		Workers: 2,
-		Retry:   RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Microsecond, MaxBackoff: time.Microsecond, Watchdog: 20 * time.Millisecond},
-	}
-	payloads, rep, err := camp.Run(n, work)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if len(rep.FailedIndices) != 1 || rep.FailedIndices[0] != 2 {
-		t.Fatalf("FailedIndices = %v, want [2]", rep.FailedIndices)
-	}
-	var we *WatchdogError
-	if !errors.As(rep.Errors[2], &we) || we.Index != 2 {
-		t.Errorf("Errors[2] = %v, want *WatchdogError", rep.Errors[2])
-	}
-	if payloads[2] != nil {
-		t.Error("hung trial has a payload")
-	}
-	if rep.Completed != n-1 {
-		t.Errorf("Completed = %d, want %d", rep.Completed, n-1)
-	}
-}
-
 // TestRunRangeMatchesRun splits a chaos-injected campaign into index
 // ranges and requires the concatenated payloads and quarantined
 // indices to equal one whole-campaign run: chaos is keyed by the
@@ -305,9 +283,9 @@ func TestRunWatchdogQuarantinesHangs(t *testing.T) {
 func TestRunRangeMatchesRun(t *testing.T) {
 	const n = 24
 	camp := Campaign{
-		Workers: 2,
-		Retry:   RetryPolicy{MaxAttempts: 1},
-		Chaos:   ChaosConfig{PanicRate: 0.3, Seed: 5},
+		Workers:     2,
+		MaxAttempts: 1,
+		Chaos:       ChaosConfig{PanicRate: 0.3, Seed: 5},
 	}
 	work := fakeWork(3, n)
 	ref, refRep, err := camp.Run(n, work)

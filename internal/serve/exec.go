@@ -167,9 +167,9 @@ func (x *ShardExecutor) ExecShard(campaignID string, request []byte, lo, hi int)
 // replica quarantines the same units and replication still converges.
 func (x *ShardExecutor) campaign() resilience.Campaign {
 	return resilience.Campaign{
-		Workers: x.cfg.Workers,
-		Chaos:   x.cfg.Chaos,
-		Retry:   resilience.RetryPolicy{MaxAttempts: 1},
+		Workers:     x.cfg.Workers,
+		Chaos:       x.cfg.Chaos,
+		MaxAttempts: 1,
 	}
 }
 

@@ -117,9 +117,6 @@ func (a *artifacts) compiled(pl *plan) (*compiledArtifact, bool, error) {
 		app := lulesh.App(pl.req.App.EPR, pl.req.App.Ranks, pl.req.App.Steps, pl.scenario, cfg)
 		arch := beo.NewArchBEO(ma.em.M, cfg.NodeSize)
 		workflow.BindLulesh(arch, ma.models)
-		if verr := arch.Validate(app); verr != nil {
-			return nil, fmt.Errorf("serve: compile failed: %w", verr)
-		}
 		cr, cerr := besst.CompileErr(app, arch)
 		if cerr != nil {
 			return nil, fmt.Errorf("serve: compile failed: %w", cerr)

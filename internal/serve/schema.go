@@ -28,7 +28,9 @@ const (
 const (
 	maxTrials       = 1 << 16
 	maxModelSamples = 1 << 12
-	maxRequestBytes = 1 << 20
+	// MaxRequestBytes bounds a request body; a dist worker derives its
+	// shard-body bound from it.
+	MaxRequestBytes = 1 << 20
 )
 
 // CampaignRequest is the versioned body of POST /v1/campaigns. Its

@@ -662,7 +662,7 @@ func (s *Server) statusLocked(c *campaign) CampaignStatus {
 
 // readBody reads a bounded request body.
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
 	if err != nil {
 		return nil, fmt.Errorf("serve: reading request body: %w", err)
 	}

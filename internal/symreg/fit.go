@@ -59,19 +59,24 @@ func (d Dataset) Split(testFrac float64, seed uint64) (train, test Dataset) {
 
 // Options configures the genetic program.
 type Options struct {
-	PopSize        int     // population size (default 256)
-	Generations    int     // generations per restart (default 80)
-	Restarts       int     // independent runs, best kept (default 3)
-	MaxDepth       int     // hard tree-depth limit (default 7)
-	TournamentK    int     // tournament size (default 5)
-	ParsimonyCoeff float64 // fitness penalty per node, in MAPE points (default 0.05)
-	CrossoverProb  float64 // default 0.7
-	MutateProb     float64 // default 0.2 (remainder: reproduction)
-	ConstMin       float64 // constant range (default 0)
-	ConstMax       float64 // default 2
-	Seed           uint64
-	TargetMAPE     float64 // early stop when train MAPE falls below (default 0.5)
+	PopSize     int // population size (default 256)
+	Generations int // generations per restart (default 120)
+	Restarts    int // independent runs, best kept (default 4)
+	MaxDepth    int // hard tree-depth limit (default 7)
+	Seed        uint64
+	TargetMAPE  float64 // early stop when train MAPE falls below (default 0.5)
 }
+
+// The GP's fixed breeding parameters. The probabilities are typed so
+// that crossoverProb+mutateProb folds to the float64 sum of the two
+// rounded values, the threshold the fitted models were evolved with.
+const (
+	tournamentK            = 5    // tournament size
+	parsimonyCoeff float64 = 0.05 // fitness penalty per node, in MAPE points
+	crossoverProb  float64 = 0.7
+	mutateProb     float64 = 0.2 // remainder: reproduction
+	constMax       float64 = 2   // random constants are drawn from [0, constMax)
+)
 
 func (o Options) withDefaults() Options {
 	if o.PopSize == 0 {
@@ -86,13 +91,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxDepth == 0 {
 		o.MaxDepth = 7
 	}
-	if o.TournamentK == 0 {
-		o.TournamentK = 5
-	}
-	o.ParsimonyCoeff = defaultIfZero(o.ParsimonyCoeff, 0.05)
-	o.CrossoverProb = defaultIfZero(o.CrossoverProb, 0.7)
-	o.MutateProb = defaultIfZero(o.MutateProb, 0.2)
-	o.ConstMax = defaultIfZero(o.ConstMax, 2)
 	o.TargetMAPE = defaultIfZero(o.TargetMAPE, 0.5)
 	return o
 }
@@ -317,7 +315,7 @@ func newEvolver(train Dataset, opt Options) *evolver {
 // score sets ind's raw MAPE and parsimony-penalized fitness.
 func (e *evolver) score(ind *individual) {
 	ind.rawMAPE = e.train.mape(ind.g)
-	ind.fitness = ind.rawMAPE + e.opt.ParsimonyCoeff*float64(len(ind.g))
+	ind.fitness = ind.rawMAPE + parsimonyCoeff*float64(len(ind.g))
 }
 
 // scoreChild scores a bred child. Fitness is a pure function of the
@@ -397,10 +395,10 @@ func (e *evolver) evolve(rng *stats.RNG, warm genome) individual {
 		case warm != nil && i == 0:
 			ind.g = append(ind.g[:0], warm...)
 		case warm != nil && i < opt.PopSize/4:
-			ind.g = mutate(ind.g, warm, e.nvars, opt, rng)
+			ind.g = mutate(ind.g, warm, e.nvars, rng)
 		default:
 			depth := 2 + i%(opt.MaxDepth-1)
-			ind.g = appendRandom(ind.g[:0], rng, e.nvars, depth, i%2 == 0, opt.ConstMin, opt.ConstMax)
+			ind.g = appendRandom(ind.g[:0], rng, e.nvars, depth, i%2 == 0)
 		}
 		ind.hash = ind.g.hash()
 		e.score(ind)
@@ -415,7 +413,7 @@ func (e *evolver) evolve(rng *stats.RNG, warm genome) individual {
 
 	tournament := func() *individual {
 		w := &pop[rng.Intn(len(pop))]
-		for i := 1; i < opt.TournamentK; i++ {
+		for i := 1; i < tournamentK; i++ {
 			c := &pop[rng.Intn(len(pop))]
 			if c.fitness < w.fitness {
 				w = c
@@ -437,16 +435,16 @@ func (e *evolver) evolve(rng *stats.RNG, warm genome) individual {
 			roll := rng.Float64()
 			scored := false
 			switch {
-			case roll < opt.CrossoverProb:
+			case roll < crossoverProb:
 				child.g = crossover(child.g, p1.g, tournament().g, rng)
-			case roll < opt.CrossoverProb+opt.MutateProb:
-				child.g = mutate(child.g, p1.g, e.nvars, opt, rng)
+			case roll < crossoverProb+mutateProb:
+				child.g = mutate(child.g, p1.g, e.nvars, rng)
 			default: // reproduction: the clone keeps its parent's fitness
 				*child = individual{g: append(child.g[:0], p1.g...), hash: p1.hash, fitness: p1.fitness, rawMAPE: p1.rawMAPE}
 				scored = true
 			}
 			if child.g.depth() > opt.MaxDepth {
-				child.g = appendRandom(child.g[:0], rng, e.nvars, opt.MaxDepth, false, opt.ConstMin, opt.ConstMax)
+				child.g = appendRandom(child.g[:0], rng, e.nvars, opt.MaxDepth, false)
 				scored = false
 			}
 			if !scored {
@@ -492,7 +490,7 @@ func (e *evolver) refineConstants(ind individual, rng *stats.RNG) individual {
 		}
 	}
 	ind.rawMAPE = bestMAPE
-	ind.fitness = bestMAPE + e.opt.ParsimonyCoeff*float64(len(ind.g))
+	ind.fitness = bestMAPE + parsimonyCoeff*float64(len(ind.g))
 	return ind
 }
 

@@ -79,7 +79,7 @@ func TestColumnFitnessMatchesRowwise(t *testing.T) {
 					{Op: unaryOps[rng.Intn(len(unaryOps))]}, {Op: unaryOps[rng.Intn(len(unaryOps))]}, {Op: OpVar, VarIndex: rng.Intn(nvars)},
 					{Op: unaryOps[rng.Intn(len(unaryOps))]}, {Op: OpVar, VarIndex: rng.Intn(nvars)}}
 			default:
-				g = appendRandom(nil, rng, nvars, 2+rng.Intn(6), tree%2 == 0, 0, 2)
+				g = appendRandom(nil, rng, nvars, 2+rng.Intn(6), tree%2 == 0)
 			}
 			got, want := e.mape(g), rowMAPE(g.node(), ds)
 			if math.Float64bits(got) != math.Float64bits(want) {
@@ -201,7 +201,7 @@ func TestParentIndexExactMatch(t *testing.T) {
 func TestGenomeMatchesNodeShape(t *testing.T) {
 	rng := stats.NewRNG(23)
 	for k := 0; k < 500; k++ {
-		g := appendRandom(nil, rng, 3, 2+rng.Intn(6), k%2 == 0, 0, 2)
+		g := appendRandom(nil, rng, 3, 2+rng.Intn(6), k%2 == 0)
 		n := g.node()
 		if len(g) != n.Size() || g.depth() != n.Depth() || g.end(0) != len(g) {
 			t.Fatalf("genome len/depth/end %d/%d/%d, tree size/depth %d/%d", len(g), g.depth(), g.end(0), n.Size(), n.Depth())
@@ -296,7 +296,7 @@ func TestColumnFitnessRepeatedRows(t *testing.T) {
 			t.Fatalf("case %d: cube over an overflow row with zero targets: MAPE %v, row-wise %v, want +Inf", c, got, want)
 		}
 		for tree := 0; tree < 40; tree++ {
-			g := appendRandom(nil, rng, nvars, 2+rng.Intn(6), tree%2 == 0, 0, 2)
+			g := appendRandom(nil, rng, nvars, 2+rng.Intn(6), tree%2 == 0)
 			got, want := e.mape(g), rowMAPE(g.node(), ds)
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("case %d/%d %s: column MAPE %v, row-wise %v", c, tree, g.node().String(ds.VarNames), got, want)

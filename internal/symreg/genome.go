@@ -124,21 +124,21 @@ func (g genome) nodeAt(i int) (*Node, int) {
 // full forces operator nodes until depth runs out (the "full" half of
 // ramped half-and-half initialization). Nodes are drawn parent first,
 // then the left subtree, then the right: preorder is draw order.
-func appendRandom(dst genome, rng *stats.RNG, nvars, depth int, full bool, constMin, constMax float64) genome {
+func appendRandom(dst genome, rng *stats.RNG, nvars, depth int, full bool) genome {
 	if depth <= 1 || (!full && rng.Float64() < 0.3) {
 		// Leaf: variable or constant.
 		if rng.Float64() < 0.6 {
 			return append(dst, gene{Op: OpVar, VarIndex: rng.Intn(nvars)})
 		}
-		return append(dst, gene{Op: OpConst, Value: constMin + rng.Float64()*(constMax-constMin)})
+		return append(dst, gene{Op: OpConst, Value: rng.Float64() * constMax})
 	}
 	if rng.Float64() < 0.7 {
 		dst = append(dst, gene{Op: binaryOps[rng.Intn(len(binaryOps))]})
-		dst = appendRandom(dst, rng, nvars, depth-1, full, constMin, constMax)
-		return appendRandom(dst, rng, nvars, depth-1, full, constMin, constMax)
+		dst = appendRandom(dst, rng, nvars, depth-1, full)
+		return appendRandom(dst, rng, nvars, depth-1, full)
 	}
 	dst = append(dst, gene{Op: unaryOps[rng.Intn(len(unaryOps))]})
-	return appendRandom(dst, rng, nvars, depth-1, full, constMin, constMax)
+	return appendRandom(dst, rng, nvars, depth-1, full)
 }
 
 // crossover writes into dst (reusing its storage) the standard subtree
@@ -155,19 +155,19 @@ func crossover(dst, a, b genome, rng *stats.RNG) genome {
 // mutate writes into dst (reusing its storage) a copy of t with one
 // random node changed by one of: subtree replacement, constant jitter,
 // or variable swap.
-func mutate(dst, t genome, nvars int, opt Options, rng *stats.RNG) genome {
+func mutate(dst, t genome, nvars int, rng *stats.RNG) genome {
 	i := rng.Intn(len(t))
 	dst = append(dst[:0], t[:i]...)
 	switch rng.Intn(3) {
 	case 0: // subtree replacement
-		dst = appendRandom(dst, rng, nvars, 3, false, opt.ConstMin, opt.ConstMax)
+		dst = appendRandom(dst, rng, nvars, 3, false)
 	case 1: // constant jitter (or inject a constant leaf)
 		if t[i].Op == OpConst {
 			c := t[i]
 			c.Value *= math.Exp(rng.Normal(0, 0.3))
 			dst = append(dst, c)
 		} else {
-			dst = append(dst, gene{Op: OpConst, Value: opt.ConstMin + rng.Float64()*(opt.ConstMax-opt.ConstMin)})
+			dst = append(dst, gene{Op: OpConst, Value: rng.Float64() * constMax})
 		}
 	default: // variable swap
 		dst = append(dst, gene{Op: OpVar, VarIndex: rng.Intn(nvars)})

@@ -84,7 +84,7 @@ func TestStringRendering(t *testing.T) {
 func TestRandomTreeRespectsDepth(t *testing.T) {
 	rng := stats.NewRNG(1)
 	for i := 0; i < 200; i++ {
-		tr := appendRandom(nil, rng, 2, 5, i%2 == 0, 0, 2)
+		tr := appendRandom(nil, rng, 2, 5, i%2 == 0)
 		if d := tr.depth(); d > 5 {
 			t.Fatalf("depth %d exceeds limit", d)
 		}
@@ -97,7 +97,7 @@ func TestRandomTreeEvaluates(t *testing.T) {
 		if math.IsNaN(a) || math.IsNaN(b) || math.IsInf(a, 0) || math.IsInf(b, 0) {
 			return true
 		}
-		tr := appendRandom(nil, rng, 2, 4, false, 0, 2).node()
+		tr := appendRandom(nil, rng, 2, 4, false).node()
 		v := tr.Eval([]float64{a, b})
 		_ = v // any float (incl. Inf from overflow) is acceptable; must not panic
 		return true

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
 
 	"besst/internal/perfmodel"
 	"besst/internal/symreg"
@@ -83,7 +84,7 @@ func Load(r io.Reader) (*Models, error) {
 	for op := range in.Models {
 		ops = append(ops, op)
 	}
-	sortStrings(ops)
+	sort.Strings(ops)
 	for _, op := range ops {
 		pm := in.Models[op]
 		var model perfmodel.Model
@@ -112,12 +113,4 @@ func Load(r io.Reader) (*Models, error) {
 		out.Reports = append(out.Reports, rep)
 	}
 	return out, nil
-}
-
-func sortStrings(xs []string) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }
